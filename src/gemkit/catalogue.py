@@ -128,22 +128,6 @@ def canonical_second_matchings(p: int) -> tuple[tuple[int, ...], ...]:
 # Raw-tuple filters (cheap, isomorphism-invariant)
 # ---------------------------------------------------------------------------
 
-def _bipartite_raw(rows, p) -> bool:
-    side = [-1] * p
-    side[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for row in rows:
-            w = row[v]
-            if side[w] < 0:
-                side[w] = 1 - side[v]
-                stack.append(w)
-            elif side[w] == side[v]:
-                return False
-    return True
-
-
 def _passes_expensive(g: core.ColoredGraph, filters) -> bool:
     if "manifold" in filters or "crystallization" in filters \
             or "simply-connected" in filters or "weak-simple" in filters \
@@ -206,6 +190,13 @@ class CatalogueRecord:
             d = json.loads(line)
         except json.JSONDecodeError as exc:
             raise GemFormatError(f"bad catalogue line: {exc}") from exc
+        if not isinstance(d, dict):
+            raise GemFormatError(f"catalogue line is not a JSON object: {line[:80]!r}")
+        missing = [key for key in ("code", "order", "colors", "bipartite") if key not in d]
+        if missing:
+            raise GemFormatError(f"catalogue line lacks {', '.join(missing)}: {line[:80]!r}")
+        if not isinstance(d["code"], str):
+            raise GemFormatError(f"catalogue code is not a string: {line[:80]!r}")
         return cls(code=d["code"], order=d["order"], colors=d["colors"],
                    bipartite=d["bipartite"], manifold=d.get("manifold"),
                    genus=d.get("genus"), classification=d.get("classification"),
@@ -277,30 +268,7 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
         key = (labels, mid)
         hit = cache.get(key)
         if hit is None:
-            size = max(labels) + 1
-            parent = list(range(size))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a, b in pairs_of[mid]:
-                ra, rb = find(labels[a]), find(labels[b])
-                if ra != rb:
-                    parent[rb] = ra
-            out = [-1] * size
-            new = []
-            count = 0
-            for v in range(p):
-                r = find(labels[v])
-                if out[r] < 0:
-                    out[r] = count
-                    count += 1
-                new.append(out[r])
-            hit = (tuple(new), count)
-            cache[key] = hit
+            hit = cache[key] = core.join_classes(labels, pairs_of[mid])
         return hit
 
     ident = tuple(range(p))
@@ -343,7 +311,7 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
 
     def survivor():
         rows = (pi0, pi1) + tuple(pool[i] for i in chosen)
-        if want_bipartite and not _bipartite_raw(rows, p):
+        if want_bipartite and core.two_coloring(rows) is None:
             return
         if manifold_prune and not spheres_only([0, 1] + [i + 2 for i in chosen]):
             return
@@ -517,6 +485,10 @@ CHECKS = (
 )
 
 
+class _Skip(Exception):
+    """Raised by a check that does not apply to the record."""
+
+
 def verify_record(rec: CatalogueRecord) -> dict[str, str]:
     """Replay every applicable invariant on one record.
 
@@ -528,6 +500,8 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
         try:
             fn()
             out[name] = "pass"
+        except _Skip:
+            out[name] = "skip"
         except Exception as exc:  # noqa: BLE001 - verification must report, not die
             out[name] = f"fail: {exc}"
 
@@ -553,7 +527,7 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
             raise _Skip
         if build_record(rec.code) != rec:
             raise InternalConsistencyError("analysis digests drifted from the code")
-    run_skippable(out, "record-digests", chk_digests)
+    run("record-digests", chk_digests)
 
     if g.n_colors < 3:
         return out
@@ -612,7 +586,7 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
                 hit = True
         if not hit:
             raise _Skip
-    run_skippable(out, "subgenus-pinned", chk_subgenus_target)
+    run("subgenus-pinned", chk_subgenus_target)
 
     def chk_collapse():
         ws = handles.find_hypothesis_witnesses(g)
@@ -621,22 +595,8 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
         for w in ws:
             handles.collapse_2skeleton(g, w)
             handles.handle_profile(g, w)
-    run_skippable(out, "collapse-identity", chk_collapse)
+    run("collapse-identity", chk_collapse)
     return out
-
-
-class _Skip(Exception):
-    pass
-
-
-def run_skippable(out, name, fn):
-    try:
-        fn()
-        out[name] = "pass"
-    except _Skip:
-        out[name] = "skip"
-    except Exception as exc:  # noqa: BLE001
-        out[name] = f"fail: {exc}"
 
 
 def verify_corpus(records) -> dict:

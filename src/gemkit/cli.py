@@ -71,8 +71,7 @@ def cmd_info(args) -> dict:
     report = _base_report(args.path, g)
     report["connected"] = core.is_connected(g)
     report["hat_residue_counts"] = {
-        str(c): core.residue_count(g, core.complement_key((c,), g.n_colors))
-        for c in g.colors}
+        str(c): n for c, n in core.hat_residue_counts(g).items()}
     if g.n_colors >= 3 and core.is_connected(g):
         mc = recognition.check_closed_manifold(g)
         report["manifold_class"] = mc.to_json()

@@ -6,9 +6,10 @@ the c-colored edges form a fixed-point-free involution pi_c of the vertex
 set.  ``matchings[c][v]`` is the vertex joined to ``v`` by its c-colored
 edge.  Loops are forbidden; parallel edges of distinct colors are fine.
 
-This module owns the graph value type, residues (connected components of
-color-restricted spanning subgraphs), bipartiteness, canonical codes,
-connected sums, dipole moves and the `.gem` text format.
+This module owns the graph value type, the partition primitives (one
+union-find, one two-coloring, one spanning tree), residues (connected
+components of color-restricted spanning subgraphs), bipartiteness,
+canonical codes, connected sums, dipole moves and the `.gem` text format.
 """
 
 from __future__ import annotations
@@ -118,6 +119,90 @@ def _check_colors(g: ColoredGraph, key) -> tuple[int, ...]:
     return key
 
 
+# ---------------------------------------------------------------------------
+# Partitions: union-find, two-coloring, spanning trees
+# ---------------------------------------------------------------------------
+
+def find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def join_classes(labels, pairs) -> tuple[tuple[int, ...], int]:
+    """Coarsen a dense vertex partition by joining the classes of both ends
+    of every pair.
+
+    Returns ``(labels, count)``: the new class of each vertex, classes
+    numbered 0.. in order of first appearance by vertex index.
+    """
+    size = max(labels) + 1
+    parent = list(range(size))
+    for a, b in pairs:
+        ra, rb = find(parent, labels[a]), find(parent, labels[b])
+        if ra != rb:
+            parent[rb] = ra
+    dense = [-1] * size
+    out = []
+    count = 0
+    for x in labels:
+        r = find(parent, x)
+        if dense[r] < 0:
+            dense[r] = count
+            count += 1
+        out.append(dense[r])
+    return tuple(out), count
+
+
+def two_coloring(rows) -> tuple[int, ...] | None:
+    """Vertex 2-coloring of the matchings ``rows`` consistent with every
+    edge of the component of vertex 0 (which gets class 0), or None if
+    that component has an odd cycle."""
+    side = [-1] * len(rows[0])
+    side[0] = 0
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for row in rows:
+            w = row[v]
+            if side[w] < 0:
+                side[w] = 1 - side[v]
+                stack.append(w)
+            elif side[w] == side[v]:
+                return None
+    return tuple(side)
+
+
+def spanning_tree(n_nodes: int, edges) -> list[int]:
+    """Breadth-first spanning tree of a multigraph on nodes 0..n_nodes-1.
+
+    ``edges`` lists (a, b) node pairs; returns the indices of the tree
+    edges in discovery order, scanning each node's edges by index.  The
+    tree spans every node iff it has n_nodes - 1 edges.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    for idx, (a, b) in enumerate(edges):
+        adj[a].append((idx, b))
+        adj[b].append((idx, a))
+    seen = [False] * n_nodes
+    seen[0] = True
+    tree = []
+    frontier = [0]
+    for node in frontier:
+        for idx, other in adj[node]:
+            if not seen[other]:
+                seen[other] = True
+                tree.append(idx)
+                frontier.append(other)
+    return tree
+
+
+# ---------------------------------------------------------------------------
+# Residues
+# ---------------------------------------------------------------------------
+
 @lru_cache(maxsize=None)
 def residue_labels(g: ColoredGraph, key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Component labels of the spanning subgraph on ``key`` colors.
@@ -125,35 +210,28 @@ def residue_labels(g: ColoredGraph, key: tuple[int, ...]) -> tuple[tuple[int, ..
     Returns ``(labels, count)`` where labels[v] is the component id of v,
     ids numbered 0.. in order of first appearance by vertex index.
     """
-    p = g.order
-    parent = list(range(p))
+    return join_classes(range(g.order), [(v, w) for c in key
+                                         for v, w in enumerate(g.matchings[c]) if v < w])
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for c in key:
-        row = g.matchings[c]
-        for v in range(p):
-            a, b = find(v), find(row[v])
-            if a != b:
-                parent[b] = a
-    labels = [-1] * p
-    count = 0
-    for v in range(p):
-        r = find(v)
-        if labels[r] < 0:
-            labels[r] = count
-            count += 1
-        labels[v] = labels[r]
-    return tuple(labels), count
+def residue_roots(labels) -> tuple[int, ...]:
+    """Least vertex of each class of a residue labelling (as returned by
+    ``residue_labels``), indexed by label."""
+    roots = []
+    for v, lab in enumerate(labels):
+        if lab == len(roots):  # labels number residues by first appearance
+            roots.append(v)
+    return tuple(roots)
 
 
 def residue_count(g: ColoredGraph, key) -> int:
     """Number of ``key``-residues: components of the ``key``-colored subgraph."""
     return residue_labels(g, _check_colors(g, key))[1]
+
+
+def hat_residue_counts(g: ColoredGraph) -> dict[int, int]:
+    """Color c -> number of residues missing only c."""
+    return {c: residue_count(g, complement_key((c,), g.n_colors)) for c in g.colors}
 
 
 @dataclass(frozen=True)
@@ -181,13 +259,15 @@ def extract_residues(g: ColoredGraph, key) -> list[Residue]:
     groups: list[list[int]] = [[] for _ in range(count)]
     for v, lab in enumerate(labels):
         groups[lab].append(v)
-    out = []
-    for verts in groups:
-        index = {v: i for i, v in enumerate(verts)}
-        rows = tuple(tuple(index[g.matchings[c][v]] for v in verts) for c in key)
-        out.append(Residue(key=key, vertices=tuple(verts),
-                           graph=ColoredGraph(rows), vertex_map=tuple(verts)))
-    return out
+    return [Residue(key=key, vertices=tuple(verts), graph=residue_graph(g, key, verts),
+                    vertex_map=tuple(verts)) for verts in groups]
+
+
+def residue_graph(g: ColoredGraph, key: tuple[int, ...], verts) -> ColoredGraph:
+    """The ``key``-residue on vertex set ``verts`` as a standalone gem:
+    vertex i is verts[i], color j is key[j]."""
+    index = {v: i for i, v in enumerate(verts)}
+    return ColoredGraph(tuple(tuple(index[g.matchings[c][v]] for v in verts) for c in key))
 
 
 def is_connected(g: ColoredGraph) -> bool:
@@ -206,20 +286,7 @@ def bipartition(g: ColoredGraph) -> tuple[int, ...] | None:
     Class of vertex 0 is 0.  Requires a connected graph.
     """
     _require_connected(g)
-    p = g.order
-    side = [-1] * p
-    side[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for c in g.colors:
-            w = g.matchings[c][v]
-            if side[w] < 0:
-                side[w] = 1 - side[v]
-                queue.append(w)
-            elif side[w] == side[v]:
-                return None
-    return tuple(side)
+    return two_coloring(g.matchings)
 
 
 def is_bipartite(g: ColoredGraph) -> bool:
@@ -355,6 +422,10 @@ def decode_code(code: CanonicalCode | bytes | str) -> ColoredGraph:
     if len(data) < 5:
         raise GemFormatError("canonical code too short")
     k, width = data[1], data[2]
+    if k == 0:
+        raise GemFormatError("canonical code has no colors")
+    if width not in (1, 2):
+        raise GemFormatError(f"canonical code width {width} is not 1 or 2")
     p = int.from_bytes(data[3:5], "big")
     body = data[5:]
     if len(body) != p * k * width:
@@ -464,9 +535,7 @@ def _dipole_properness(g: ColoredGraph, u: int, v: int,
     certs = []
     for root in (u, v):
         verts = [w for w in range(g.order) if labels[w] == labels[root]]
-        index = {w: i for i, w in enumerate(verts)}
-        rows = tuple(tuple(index[g.matchings[c][w]] for w in verts) for c in comp)
-        certs.append(recognition.sphere_certificate(ColoredGraph(rows)))
+        certs.append(recognition.sphere_certificate(residue_graph(g, comp, verts)))
     if any(c.status == recognition.CERTIFIED_SPHERE for c in certs):
         return True
     if all(c.status == recognition.CERTIFIED_NONSPHERE for c in certs):

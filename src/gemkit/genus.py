@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import core
 from .errors import InternalConsistencyError, StructuralError
@@ -139,20 +140,21 @@ def subgenus(g: core.ColoredGraph, eps, i: int) -> Fraction:
     return total
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenusReport:
     """Regular genus data for every canonical permutation.
 
     ``rho`` maps each permutation to its genus; ``subgenera`` maps it to the
-    tuple of deleted-color residue genera in position order.
+    tuple of deleted-color residue genera in position order.  Both are
+    read-only views: reports are memoised and shared between callers.
     ``residues_connected`` is False when some top residue is disconnected
     (non-contracted input), in which case subgenera are component sums.
     """
 
     orientable: bool
-    rho: dict
+    rho: MappingProxyType
     regular_genus: Fraction
-    subgenera: dict
+    subgenera: MappingProxyType
     residues_connected: bool
     min_witnesses: tuple
 
@@ -181,13 +183,12 @@ def genus_all(g: core.ColoredGraph) -> GenusReport:
     rho = {e: genus_wrt(g, e) for e in perms}
     sub = {e: tuple(subgenus(g, e, i) for i in range(g.n_colors)) for e in perms}
     regular = min(rho.values())
-    connected = all(core.residue_count(g, core.complement_key((c,), g.n_colors)) == 1
-                    for c in g.colors)
+    connected = all(n == 1 for n in core.hat_residue_counts(g).values())
     return GenusReport(
         orientable=core.is_bipartite(g),
-        rho=rho,
+        rho=MappingProxyType(rho),
         regular_genus=regular,
-        subgenera=sub,
+        subgenera=MappingProxyType(sub),
         residues_connected=connected,
         min_witnesses=tuple(e for e in perms if rho[e] == regular),
     )

@@ -235,10 +235,7 @@ def collapse_2skeleton(g: core.ColoredGraph, w: HypothesisWitness) -> CollapseTr
     tri_labels, tri_count = core.residue_labels(g, (e2, e4))
     edge_labels, edge_count = core.residue_labels(
         g, core.complement_key((e0, e1), 5))
-    rep = {}
-    for v in range(g.order):
-        rep.setdefault(tri_labels[v], v)
-    edge_of = {t: edge_labels[rep[t]] for t in range(tri_count)}
+    edge_of = {t: edge_labels[v] for t, v in enumerate(core.residue_roots(tri_labels))}
 
     eps = genus.CyclicPermutation.canonical(w.permutation)
     rho = genus.subgenus(g, eps, eps.seq.index(e0))

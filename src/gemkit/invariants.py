@@ -230,13 +230,9 @@ def presentation_raw(g: core.ColoredGraph, i: int, j: int,
     comp_key = core.complement_key((i, j), g.n_colors)
     gen_labels, gen_count = core.residue_labels(g, comp_key)
 
-    cycle_labels, cycle_count = core.residue_labels(g, (i, j))
-    starts = {}
-    for v in range(g.order):
-        starts.setdefault(cycle_labels[v], v)
+    cycle_labels, _ = core.residue_labels(g, (i, j))
     relators = []
-    for cyc in range(cycle_count):
-        v0 = starts[cyc]
+    for v0 in core.residue_roots(cycle_labels):
         word = []
         v = v0
         while True:
@@ -252,32 +248,13 @@ def presentation_raw(g: core.ColoredGraph, i: int, j: int,
     # nodes are the residues missing i (resp. j), one edge per generator
     i_labels, i_count = core.residue_labels(g, core.complement_key((i,), g.n_colors))
     j_labels, j_count = core.residue_labels(g, core.complement_key((j,), g.n_colors))
-    rep = {}
-    for v in range(g.order):
-        rep.setdefault(gen_labels[v], v)
-    edges = []
-    for gen in range(gen_count):
-        v = rep[gen]
-        edges.append((i_labels[v], i_count + j_labels[v]))
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for idx, (a, b) in enumerate(edges):
-        adj.setdefault(a, []).append((idx, b))
-        adj.setdefault(b, []).append((idx, a))
-    seen = {0}
-    tree = []
-    frontier = [0]
-    while frontier:
-        node = frontier.pop(0)
-        for idx, other in sorted(adj.get(node, ())):
-            if other not in seen:
-                seen.add(other)
-                tree.append(idx + 1)
-                frontier.append(other)
-    if len(seen) != i_count + j_count:
+    edges = [(i_labels[v], i_count + j_labels[v]) for v in core.residue_roots(gen_labels)]
+    tree = core.spanning_tree(i_count + j_count, edges)
+    if len(tree) != i_count + j_count - 1:
         raise InternalConsistencyError("two-color vertex subcomplex is disconnected")
     return Presentation(generator_count=gen_count, relators=tuple(relators),
-                        tree_relators=tuple(sorted(tree)), colors=(i, j),
-                        flavor=flavor)
+                        tree_relators=tuple(sorted(idx + 1 for idx in tree)),
+                        colors=(i, j), flavor=flavor)
 
 
 def pi1_presentation(g: core.ColoredGraph, i: int | None = None,
@@ -433,38 +410,20 @@ def h1_via_edge_path(g: core.ColoredGraph) -> tuple[int, tuple[int, ...]]:
     edge_base = {}
     edge_ends = []
     for pair in itertools.combinations(range(k), 2):
-        labels, count = core.residue_labels(g, core.complement_key(pair, k))
+        labels, _ = core.residue_labels(g, core.complement_key(pair, k))
         edge_labels[pair] = labels
         edge_base[pair] = len(edge_ends)
-        rep = {}
-        for v in range(g.order):
-            rep.setdefault(labels[v], v)
-        for comp in range(count):
-            v = rep[comp]
-            a, b = pair
-            edge_ends.append((node_base[a] + node_labels[a][v],
-                              node_base[b] + node_labels[b][v]))
+        a, b = pair
+        edge_ends += [(node_base[a] + node_labels[a][v], node_base[b] + node_labels[b][v])
+                      for v in core.residue_roots(labels)]
 
     # breadth-first spanning tree over the dual 1-skeleton (a multigraph)
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for idx, (a, b) in enumerate(edge_ends):
-        adj.setdefault(a, []).append((idx, b))
-        adj.setdefault(b, []).append((idx, a))
-    in_tree = [False] * len(edge_ends)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        node = frontier.pop(0)
-        for idx, other in sorted(adj.get(node, ())):
-            if other not in seen:
-                seen.add(other)
-                in_tree[idx] = True
-                frontier.append(other)
-    if len(seen) != total_nodes:
+    tree = set(core.spanning_tree(total_nodes, edge_ends))
+    if len(tree) != total_nodes - 1:
         raise InternalConsistencyError("dual 1-skeleton is disconnected")
     gen_of_edge = {}
-    for idx, tree in enumerate(in_tree):
-        if not tree:
+    for idx in range(len(edge_ends)):
+        if idx not in tree:
             gen_of_edge[idx] = len(gen_of_edge) + 1
 
     def edge_id(pair, vertex):
@@ -473,13 +432,9 @@ def h1_via_edge_path(g: core.ColoredGraph) -> tuple[int, tuple[int, ...]]:
     rows = []
     gens = len(gen_of_edge)
     for triple in itertools.combinations(range(k), 3):
-        labels, count = core.residue_labels(g, core.complement_key(triple, k))
-        rep = {}
-        for v in range(g.order):
-            rep.setdefault(labels[v], v)
-        reps = [rep[cidx] for cidx in range(count)]
         a, b, c = triple
-        for v in reps:
+        labels, _ = core.residue_labels(g, core.complement_key(triple, k))
+        for v in core.residue_roots(labels):
             # boundary word: (a->b) + (b->c) - (a->c)
             row = [0] * gens
             for pair, sgn in (((a, b), 1), ((b, c), 1), ((a, c), -1)):
@@ -604,9 +559,7 @@ def homology(g: core.ColoredGraph) -> HomologyReport:
             f"{h1_text(b1_hat_b, torsion_hat_b)}")
 
     chi = euler_characteristic(g)
-    contracted = all(
-        core.residue_count(g, core.complement_key((c,), g.n_colors)) == 1
-        for c in g.colors)
+    contracted = all(n == 1 for n in core.hat_residue_counts(g).values())
     if contracted and recognition.is_crystallization(g)[0]:
         chi_genus = euler_via_genus(g)
         if chi_genus != chi:

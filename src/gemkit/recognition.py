@@ -247,8 +247,7 @@ def is_crystallization(g: core.ColoredGraph):
     boundary (at most one singular color) and every hat-residue count is 1,
     i.e. the dual triangulation is contracted.
     """
-    counts = {c: core.residue_count(g, core.complement_key((c,), g.n_colors))
-              for c in g.colors}
+    counts = core.hat_residue_counts(g)
     mc = check_closed_manifold(g)
     ok = (mc.is_manifold and len(mc.singular_colors) <= 1
           and all(v == 1 for v in counts.values()))

@@ -153,3 +153,22 @@ def test_generate_and_verify_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "--json", "verify", str(out_path))
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("line", ['{"order": 2}', "[1,2]", '{"code":"0105000002"}'])
+def test_verify_malformed_catalogue_line_exits_2(capsys, tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "format-error"
+
+
+def test_verify_undecodable_code_is_a_check_failure(capsys, tmp_path):
+    # width byte 0: reported by the decode-recode check, not a traceback
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"code": "0105000002", "order": 2, "colors": 5,
+                                "bipartite": True}) + "\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 3
+    assert "decode-recode" in json.loads(err)["error"]["message"]

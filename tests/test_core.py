@@ -152,6 +152,17 @@ def test_code_decode_round_trip():
         assert core.canonical_code(h) == code
 
 
+def test_decode_code_rejects_bad_header():
+    good = core.canonical_code(fixtures.sigma(5)).data
+    for bad in (good[:1] + b"\x00" + good[2:],    # no colors
+                good[:2] + b"\x00" + good[3:],    # width 0
+                good[:2] + b"\x03" + good[3:]):   # width 3
+        with pytest.raises(GemFormatError):
+            core.decode_code(bad)
+    with pytest.raises(GemFormatError):
+        core.decode_code("0105000002")
+
+
 def test_code_requires_connected():
     with pytest.raises(StructuralError):
         core.canonical_code(core.disjoint_union(fixtures.sigma(3), fixtures.sigma(3)))
@@ -278,3 +289,29 @@ def test_gem_file_io(tmp_path):
     path = tmp_path / "g.gem"
     core.save_gem(fixtures.rp3(), path)
     assert core.load_gem(path) == fixtures.rp3()
+
+
+# ---------------------------------------------------------------------------
+# Partition primitives
+# ---------------------------------------------------------------------------
+
+def test_join_classes_numbers_by_first_appearance():
+    assert core.join_classes((0, 1, 2, 3, 4), [(3, 1), (4, 0)]) == ((0, 1, 2, 1, 0), 3)
+    assert core.join_classes((0, 0, 1, 2), [(2, 3)]) == ((0, 0, 1, 1), 2)
+
+
+def test_residue_roots_are_least_vertices():
+    rng = random.Random(3)
+    for g in (fixtures.cp2(), fixtures.rp3(), fixtures.nonsimply_connected()):
+        g = random_relabel(g, rng)
+        for key in itertools.combinations(g.colors, 2):
+            labels, count = core.residue_labels(g, key)
+            roots = core.residue_roots(labels)
+            assert roots == tuple(min(v for v in range(g.order) if labels[v] == lab)
+                                  for lab in range(count))
+
+
+def test_spanning_tree_is_breadth_first_and_detects_disconnection():
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (0, 1)]
+    assert core.spanning_tree(4, edges) == [0, 2, 3]
+    assert len(core.spanning_tree(5, edges)) < 4

@@ -152,3 +152,16 @@ def test_genus_report_json_shapes():
     rep5 = genus.genus_all(fixtures.cp2()).to_json()
     assert set(rep5["rho"]) == {str(e) for e in genus.all_cyclic_permutations(5)}
     assert all(len(v) == 5 for v in rep5["subgenera"].values())
+
+
+def test_genus_report_is_read_only():
+    g = fixtures.cp2()
+    rep = genus.genus_all(g)
+    eps = next(iter(rep.rho))
+    with pytest.raises(TypeError):
+        rep.rho[eps] = 99
+    with pytest.raises(TypeError):
+        rep.subgenera[eps] = ()
+    with pytest.raises(AttributeError):
+        rep.regular_genus = 0
+    assert genus.genus_all(g).rho[eps] == 2

@@ -1,0 +1,73 @@
+"""Byte pins: catalogue bytes, presentation text and CLI outputs recorded
+from a known-good build.  Any refactor of the partition primitives must
+leave every value here unchanged."""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from gemkit import catalogue, cli, core, fixtures, invariants
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("k, p, filters, digest", [
+    (5, 6, ("crystallization",),
+     "0353d94d0f7ddd5685c0e57605cbb706a82eab077ff726dc39247c0a673871a6"),
+    (4, 6, ("bipartite",),
+     "39301dfb4e9b4ba24fe7e963ffc922dffb3e7e393b670572bdd8ac1043d41773"),
+    (4, 6, (),
+     "91800a648420edd33f71952a326a29ffabf32a9947b07ebbfeaa0c363a11a03f"),
+    (3, 6, ("manifold",),
+     "99303464d879141ed3476565a5aa4099e6d53cc93f7fd9a53e2ecf383c8cba70"),
+])
+def test_catalogue_bytes_pinned(tmp_path, k, p, filters, digest):
+    out = tmp_path / "cat.jsonl"
+    catalogue.generate_catalogue(out, k, p, filters, 1)
+    assert _sha(out.read_bytes()) == digest
+
+
+def test_presentation_text_pinned():
+    g = core.connected_sum(fixtures.cp2(), fixtures.cp2())
+    assert invariants.presentation_raw(g, 0, 1).to_text() == "gens: x1\n\n\n\n1\n"
+
+
+def test_presentation_spanning_tree_pinned():
+    # a 4-colored gem whose (0, 1) dual subcomplex has a nontrivial tree:
+    # five generators, three of them killed by tree edges
+    g = core.ColoredGraph((
+        (1, 0, 10, 11, 5, 4, 7, 6, 9, 8, 2, 3),
+        (11, 9, 5, 10, 6, 2, 4, 8, 7, 1, 3, 0),
+        (8, 4, 3, 2, 1, 10, 7, 6, 0, 11, 5, 9),
+        (8, 11, 3, 2, 9, 10, 7, 6, 0, 4, 5, 1),
+    ))
+    text = invariants.presentation_raw(g, 0, 1).to_text()
+    assert text == "gens: x1 x2 x3 x4 x5\n4 -3 4 -3\n1\n3\n5\n"
+    assert invariants.h1_via_edge_path(g) == (0, ())
+
+
+@pytest.mark.parametrize("command, fixture, code, digest", [
+    ("info", fixtures.cp2, 0,
+     "9d45ed0ccdcda07e927293ca511f507ce339ae3218227d217a833ff0c3bf6cce"),
+    ("classify", fixtures.nonsimply_connected, 1, None),
+    ("homology", fixtures.rp3, 2, None),
+    ("handles", fixtures.rp3_boundary, 0,
+     "6338521710a6df7ea9939931d2f3739abb2d8f30bc1307060468e67fe47d7a3d"),
+])
+def test_cli_pinned(tmp_path, command, fixture, code, digest):
+    names = {fixtures.cp2: "cp2.gem", fixtures.nonsimply_connected: "ns.gem",
+             fixtures.rp3: "rp3.gem", fixtures.rp3_boundary: "cp2b.gem"}
+    path = tmp_path / names[fixture]
+    core.save_gem(fixture(), path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["--json", command, str(path)])
+    assert rc == code
+    text = out.getvalue().replace(str(tmp_path), "")
+    assert _sha(text.encode()) == (digest or _sha(b""))
