@@ -378,6 +378,14 @@ def _check_filters(filters) -> tuple[str, ...]:
     return filters
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file in the same directory,
+    so a kill at any instant leaves either the old file or the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
                        jobs: int = 1, resume_meta=None) -> dict:
     """Write a JSONL catalogue plus a .meta checkpoint file.
@@ -385,8 +393,10 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
     Shards run in parallel (``jobs`` processes); each completed shard is
     checkpointed in the .meta file and its codes stashed in a parts
     directory, so an interrupted run can be resumed with the same meta
-    path.  Record lines carry no timestamps: two runs with different job
-    counts produce byte-identical catalogues.
+    path.  Both are replaced atomically; on resume, a shard marked done
+    whose part file is missing runs again.  Record lines carry no
+    timestamps: two runs with different job counts produce byte-identical
+    catalogues.
     """
     if max_order < 2 or max_order % 2:
         raise StructuralError("max_order must be even and >= 2")
@@ -414,14 +424,17 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
     parts_dir.mkdir(exist_ok=True)
 
     keys = shard_keys(n_colors, max_order)
-    pending = [k for k in keys if meta["shards"].get(f"{k[0]}:{k[1]}") != "done"]
+
+    def part_path(key):
+        return parts_dir / f"shard-{key[0]}-{key[1]}.json"
+
+    pending = [k for k in keys if meta["shards"].get(f"{k[0]}:{k[1]}") != "done"
+               or not part_path(k).exists()]
 
     def record_done(key, codes):
-        part = parts_dir / f"shard-{key[0]}-{key[1]}.json"
-        part.write_text(json.dumps(sorted(codes)), encoding="utf-8")
+        _write_atomic(part_path(key), json.dumps(sorted(codes)))
         meta["shards"][f"{key[0]}:{key[1]}"] = "done"
-        meta_path.write_text(json.dumps(meta, indent=1, sort_keys=True),
-                             encoding="utf-8")
+        _write_atomic(meta_path, json.dumps(meta, indent=1, sort_keys=True))
 
     if jobs <= 1:
         for key in pending:
@@ -434,19 +447,16 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
 
     codes = set()
     for key in keys:
-        part = parts_dir / f"shard-{key[0]}-{key[1]}.json"
-        codes.update(json.loads(part.read_text(encoding="utf-8")))
+        codes.update(json.loads(part_path(key).read_text(encoding="utf-8")))
     records = [build_record(c) for c in sorted(codes)]
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(rec.to_json_line() + "\n")
     meta["completed"] = datetime.now(timezone.utc).isoformat()
     meta["records"] = len(records)
-    meta_path.write_text(json.dumps(meta, indent=1, sort_keys=True), encoding="utf-8")
+    _write_atomic(meta_path, json.dumps(meta, indent=1, sort_keys=True))
     for key in keys:
-        part = parts_dir / f"shard-{key[0]}-{key[1]}.json"
-        if part.exists():
-            part.unlink()
+        part_path(key).unlink(missing_ok=True)
     try:
         parts_dir.rmdir()
     except OSError:
@@ -577,7 +587,7 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
         lower = sorted(set(range(5)) - set(sing))[:4] if sing else list(range(4))
         hit = False
         for j, k in itertools.combinations(lower, 2):
-            if core.residue_count(g, core.complement_key((j, k), 5)) != 1:
+            if not handles.pair_condition(g, j, k):
                 continue
             for s in lower:
                 if s in (j, k):

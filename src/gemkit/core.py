@@ -15,7 +15,7 @@ canonical codes, connected sums, dipole moves and the `.gem` text format.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import GemFormatError, StructuralError
@@ -24,15 +24,19 @@ COLOR_PRESERVING = "color-preserving"
 UP_TO_COLOR_PERMUTATION = "up-to-color-permutation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColoredGraph:
     """Immutable k-regular properly edge-colored multigraph.
 
     All operations in gemkit are pure functions over this value; "mutation"
     is construction of a new graph, so instances are safe to share freely.
+    Equality is by value; the hash is computed once, at construction, as
+    the value-keyed memos hash a graph on every lookup.  Slots keep each
+    instance small, as the memos hold many.
     """
 
     matchings: tuple[tuple[int, ...], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.matchings)
@@ -52,6 +56,10 @@ class ColoredGraph:
                     raise StructuralError(f"color {c}: loop at vertex {v}")
                 if row[w] != v:
                     raise StructuralError(f"color {c}: not an involution at vertex {v}")
+        object.__setattr__(self, "_hash", hash(rows))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -645,20 +653,58 @@ def eliminate_dipole(g: ColoredGraph, vertices, colors=None) -> ColoredGraph:
     return ColoredGraph(tuple(rows))
 
 
+def _needs_certification(g: ColoredGraph) -> bool:
+    """Whether ``reduce`` must certify each dipole of g (see there)."""
+    if g.n_colors <= 3:
+        return False
+    from . import recognition
+
+    mc = recognition.check_closed_manifold(g)
+    return mc.conditional or mc.verdict != f"closed-{g.n_colors - 1}-manifold"
+
+
+def _top_dipole(g: ColoredGraph, certify: bool):
+    """``((u, v), colors)`` of the dipole with the greatest (v, u), u < v,
+    that is proper when ``certify`` is set, or None.
+
+    Pairs are scanned from the top vertex down, so nothing below the
+    answer is examined.
+    """
+    k = g.n_colors
+    for v in range(g.order - 1, 0, -1):
+        for u in sorted({row[v] for row in g.matchings if row[v] < v}, reverse=True):
+            colors = _joining_colors(g, u, v)
+            if len(colors) == k:
+                continue
+            labels, _ = residue_labels(g, complement_key(colors, k))
+            if labels[u] != labels[v] and (
+                    not certify or _dipole_properness(g, u, v, colors)):
+                return (u, v), colors
+    return None
+
+
 def reduce(g: ColoredGraph) -> ColoredGraph:
     """Greedily eliminate proper dipoles until none are left.
 
-    Dipoles flagged improper or unknown are never eliminated.  The highest-
-    indexed proper dipole goes first, so freshly added dipoles are unwound
-    in reverse insertion order.
+    Dipoles flagged improper or unknown are never eliminated.  The proper
+    dipole (u, v), u < v, with the greatest (v, u) goes first, so freshly
+    added dipoles are unwound in reverse insertion order.
+
+    Certification is skipped, decided once from the input, when every
+    dipole is known to be proper: over at most 3 colors every
+    complementary residue has at most 2 colors, so it is a sphere; and
+    every residue of a gem certified (unconditionally) a closed manifold is
+    a sphere.  Eliminating a proper dipole keeps the manifold, so this
+    holds at every later step.  Otherwise each candidate is certified
+    before elimination.
     """
     _require_connected(g)
+    certify = _needs_certification(g)
     while True:
-        proper = [d for d in find_dipoles(g) if d.proper]
-        if not proper:
+        top = _top_dipole(g, certify)
+        if top is None:
             return g
-        d = max(proper, key=lambda d: (d.vertices[1], d.vertices[0], d.colors))
-        g = eliminate_dipole(g, d.vertices, d.colors)
+        g = eliminate_dipole(g, *top)
 
 
 # ---------------------------------------------------------------------------

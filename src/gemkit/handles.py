@@ -55,7 +55,9 @@ class HypothesisWitness:
         }
 
 
-def _pair_condition(g: core.ColoredGraph, a: int, b: int) -> bool:
+def pair_condition(g: core.ColoredGraph, a: int, b: int) -> bool:
+    """Whether the 5-colored gem g has exactly one residue missing colors
+    a and b."""
     return core.residue_count(g, core.complement_key((a, b), 5)) == 1
 
 
@@ -72,7 +74,7 @@ def find_hypothesis_witnesses(g: core.ColoredGraph) -> tuple[HypothesisWitness, 
     out = []
     for pivot in range(5):
         for i, j in itertools.combinations(sorted(set(range(5)) - {pivot}), 2):
-            if not (_pair_condition(g, i, pivot) and _pair_condition(g, j, pivot)):
+            if not (pair_condition(g, i, pivot) and pair_condition(g, j, pivot)):
                 continue
             free = tuple(sorted(set(range(5)) - {i, j, pivot}))
             if s is not None and s not in free:
@@ -83,7 +85,7 @@ def find_hypothesis_witnesses(g: core.ColoredGraph) -> tuple[HypothesisWitness, 
             out.append(HypothesisWitness(
                 kind=NO_ONE_HANDLES, pair=(i, j), pivot=pivot, free_pair=free,
                 boundary_case=s is not None, permutation=eps))
-            if _pair_condition(g, *free):
+            if pair_condition(g, *free):
                 out.append(HypothesisWitness(
                     kind=SPECIAL, pair=(i, j), pivot=pivot, free_pair=free,
                     boundary_case=s is not None, permutation=eps))
@@ -132,10 +134,10 @@ def handle_profile(g: core.ColoredGraph, w: HypothesisWitness) -> HandleProfile:
     residue defect, forced to 0 for the special kind) and, in the closed
     case, one 4-handle."""
     classification._require_crystallization(g)
-    if not (_pair_condition(g, w.pair[0], w.pivot)
-            and _pair_condition(g, w.pair[1], w.pivot)):
+    if not (pair_condition(g, w.pair[0], w.pivot)
+            and pair_condition(g, w.pair[1], w.pivot)):
         raise StructuralError("witness conditions do not hold on this graph")
-    if w.kind == SPECIAL and not _pair_condition(g, *w.free_pair):
+    if w.kind == SPECIAL and not pair_condition(g, *w.free_pair):
         raise StructuralError("special witness condition does not hold")
     beta2 = invariants.beta2_via_genus(g)
     t = core.residue_count(g, w.triple) - 1
@@ -174,7 +176,7 @@ def subgenus_target(g: core.ColoredGraph, j: int, k: int, s: int):
         raise StructuralError(f"j, k must be distinct non-singular colors, got {j}, {k}")
     if s not in set(lower) - {j, k}:
         raise StructuralError(f"s must be a non-singular color off {{{j}, {k}}}")
-    if not _pair_condition(g, j, k):
+    if not pair_condition(g, j, k):
         raise StructuralError(f"g(hat {j} hat {k}) != 1")
     r = next(c for c in lower if c not in (s, j, k))
     eps = (s, j, r, k, top)
@@ -185,7 +187,7 @@ def subgenus_target(g: core.ColoredGraph, j: int, k: int, s: int):
     if value != beta2 + t:
         raise InternalConsistencyError(
             f"subgenus {value} != beta2 + t = {beta2} + {t} at {eps}")
-    if _pair_condition(g, r, top) and value != beta2:
+    if pair_condition(g, r, top) and value != beta2:
         raise InternalConsistencyError(
             f"free-pair condition holds but subgenus {value} != beta2 {beta2}")
     return int(value), eps
@@ -230,7 +232,7 @@ def collapse_2skeleton(g: core.ColoredGraph, w: HypothesisWitness) -> CollapseTr
     subgenus."""
     classification._require_crystallization(g)
     e0, e1, e2, e3, e4 = w.permutation
-    if not (_pair_condition(g, e0, e3) and _pair_condition(g, e1, e3)):
+    if not (pair_condition(g, e0, e3) and pair_condition(g, e1, e3)):
         raise StructuralError("witness conditions do not hold on this graph")
     tri_labels, tri_count = core.residue_labels(g, (e2, e4))
     edge_labels, edge_count = core.residue_labels(

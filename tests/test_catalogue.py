@@ -108,6 +108,30 @@ def test_generate_resume_completes_partial_run(tmp_path):
     assert resumed.read_bytes() == fresh.read_bytes()
 
 
+def test_resume_reruns_done_shard_with_missing_part(tmp_path):
+    fresh = tmp_path / "fresh.jsonl"
+    catalogue.generate_catalogue(fresh, n_colors=3, max_order=6, jobs=1)
+
+    resumed = tmp_path / "resumed.jsonl"
+    meta_path = Path(str(resumed) + ".meta")
+    (tmp_path / "resumed.jsonl.parts").mkdir()
+    # every shard checkpointed as done, but no part file survived
+    keys = catalogue.shard_keys(3, 6)
+    meta_path.write_text(json.dumps({
+        "schema": "gemkit-catalogue-meta/1",
+        "params": {"n_colors": 3, "max_order": 6, "filters": []},
+        "generator": catalogue.GENERATOR_VERSION,
+        "started": "then",
+        "completed": None,
+        "shards": {f"{p}:{i}": "done" for p, i in keys},
+    }))
+    catalogue.generate_catalogue(resumed, n_colors=3, max_order=6,
+                                 resume_meta=meta_path)
+    assert resumed.read_bytes() == fresh.read_bytes()
+    assert json.loads(meta_path.read_text())["completed"] is not None
+    assert not list(tmp_path.glob("**/*.tmp"))
+
+
 def test_resume_rejects_changed_parameters(tmp_path):
     out = tmp_path / "cat.jsonl"
     catalogue.generate_catalogue(out, n_colors=3, max_order=4)

@@ -34,6 +34,18 @@ def test_order_two_is_legal():
     assert g.order == 2 and g.n_colors == 5
 
 
+def test_equal_graphs_share_hash_and_memo_entry():
+    g1 = random_relabel(core.connected_sum(fixtures.cp2(), fixtures.rp3_boundary()),
+                        random.Random(41))
+    g2 = core.ColoredGraph(tuple(list(row) for row in g1.matchings))
+    assert g2 is not g1 and g2 == g1 and hash(g2) == hash(g1)
+    first = core.residue_labels(g1, (0, 1))
+    before = core.residue_labels.cache_info()
+    assert core.residue_labels(g2, (0, 1)) is first
+    after = core.residue_labels.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 # ---------------------------------------------------------------------------
 # Residues
 # ---------------------------------------------------------------------------

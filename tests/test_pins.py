@@ -7,10 +7,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import random
 
 import pytest
 
 from gemkit import catalogue, cli, core, fixtures, invariants
+
+from conftest import random_augment, random_relabel
 
 
 def _sha(data: bytes) -> str:
@@ -71,3 +74,26 @@ def test_cli_pinned(tmp_path, command, fixture, code, digest):
     assert rc == code
     text = out.getvalue().replace(str(tmp_path), "")
     assert _sha(text.encode()) == (digest or _sha(b""))
+
+
+@pytest.mark.parametrize("fixture, seed, steps, digest, gem_digest", [
+    (fixtures.rp3_boundary, 11, 8,
+     "d91dfc0cfdc1c8f4cbdcd9eaa4967e5cf615e1e133ab662898b59d78a04ad7b2",
+     "1ceaa9ce581fd911fff52e85bd5a8f9d4b82fb678c54ab2693c5ed8d8fdb7ac9"),
+    (fixtures.cp2, 12, 10,
+     "f8bfff138af227589a864376273fdfd104cafa60863649b168433b645376da2c",
+     "bcc332d3a299cc0e42dc411cbfaa0ddc18513235da54acbfe96cd68b8edd8fb8"),
+])
+def test_cli_reduce_pinned(tmp_path, fixture, seed, steps, digest, gem_digest):
+    # a singular gem (reduce certifies each dipole) and a closed one (it skips)
+    rng = random.Random(seed)
+    g = random_relabel(random_augment(fixture(), rng, steps), rng)
+    path, out_path = tmp_path / "buried.gem", tmp_path / "reduced.gem"
+    core.save_gem(g, path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["--json", "reduce", str(path), str(out_path)])
+    assert rc == 0
+    text = out.getvalue().replace(str(tmp_path), "")
+    assert _sha(text.encode()) == digest
+    assert _sha(out_path.read_bytes()) == gem_digest
