@@ -188,7 +188,7 @@ class CatalogueRecord:
     def from_json_line(cls, line: str) -> "CatalogueRecord":
         try:
             d = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, huge ints, deep nesting
             raise GemFormatError(f"bad catalogue line: {exc}") from exc
         if not isinstance(d, dict):
             raise GemFormatError(f"catalogue line is not a JSON object: {line[:80]!r}")
@@ -247,8 +247,14 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     The nondecreasing matching tuples are walked as a tree carrying, per
     potential deleted color, the vertex partition of the matchings chosen
     so far; partition merges are memoized, and in crystallization runs a
-    branch dies as soon as the partition missing only the last color is
-    disconnected.
+    leaf dies as soon as the partition missing only the last color is
+    disconnected.  In manifold and crystallization runs over k >= 4 colors
+    each color triple's sphere condition is tested at the depth that
+    chooses its last color, and a branch dies once its count of unclean
+    triples exceeds what the filter allows; the leaf tests only the
+    triples holding the last color.  The count never falls, so exactly the
+    leaves that the same test at the leaf would pass reach the
+    canonical code.
     """
     if n_colors < 3:
         raise StructuralError("enumeration needs at least 3 colors")
@@ -277,15 +283,23 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     l01 = merge(l0, 1)[0]
     init_states = tuple(l1 if h == 0 else (l0 if h == 1 else l01) for h in range(k))
     init_full = l01
-    # Cheap leaf prune mirroring the dimension-specific manifold demands:
-    # a 3-colored residue is a union of spheres iff its pair counts satisfy
+    # Sphere prune mirroring the dimension-specific manifold demands: a
+    # 3-colored residue is a union of spheres iff its pair counts satisfy
     # g_ab + g_bc + g_ca - p/2 == 2 * g_abc.  For k >= 5 every triple must be
-    # clean (exactly the manifold-complex condition); for k == 4 at most one
-    # color may own non-sphere residues (one singular color); surfaces have
-    # no condition.
-    manifold_prune = (crys or "manifold" in filters) and k >= 4
+    # clean (exactly the manifold-complex condition); for k == 4
+    # crystallizations at most one color may own non-sphere residues (one
+    # singular color); other 4-colored runs and surfaces have no condition.
+    # Each triple is tested once, when its last color is chosen, and the
+    # count of unclean triples rides down the tree; it never falls, so a
+    # branch dies as soon as it exceeds the allowance.
+    if (crys or "manifold" in filters) and k >= 5:
+        allowance = 0
+    elif crys and k == 4:
+        allowance = 1
+    else:
+        allowance = None
 
-    def _triple_clean(mids, a, b, c) -> bool:
+    def _triple_clean(a, b, c) -> bool:
         la = merge(ident, mids[a])[0]
         g_ab = merge(la, mids[b])
         g_ac = merge(la, mids[c])
@@ -293,60 +307,55 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
         g_abc = merge(g_ab[0], mids[c])
         return g_ab[1] + g_ac[1] + g_bc[1] - p // 2 == 2 * g_abc[1]
 
-    def spheres_only(mids) -> bool:
-        if k >= 5:
-            return all(_triple_clean(mids, a, b, c)
-                       for a, b, c in itertools.combinations(range(k), 3))
-        if not crys:
-            return True  # every 4-colored gem represents a singular 3-manifold
-        bad = 0
-        for drop in range(4):
-            a, b, c = (x for x in range(4) if x != drop)
-            if not _triple_clean(mids, a, b, c):
-                bad += 1
-        return bad <= 1
+    def add_unclean(unclean: int) -> int | None:
+        """``unclean`` plus the unclean triples whose last color is the one
+        just chosen, or None as soon as that exceeds the allowance."""
+        c = len(mids) - 1
+        for a, b in itertools.combinations(range(c), 2):
+            if not _triple_clean(a, b, c):
+                unclean += 1
+                if unclean > allowance:
+                    return None
+        return unclean
 
     codes: set[str] = set()
-    chosen: list[int] = []
+    mids: list[int] = [0, 1]  # indices into all_matchings of the colors chosen so far
 
     def survivor():
-        rows = (pi0, pi1) + tuple(pool[i] for i in chosen)
+        rows = tuple(all_matchings[m] for m in mids)
         if want_bipartite and core.two_coloring(rows) is None:
-            return
-        if manifold_prune and not spheres_only([0, 1] + [i + 2 for i in chosen]):
             return
         g = core.ColoredGraph(rows)
         code = core.canonical_code(g).hex()
         if code not in codes and _passes_expensive(core.decode_code(code), filters):
             codes.add(code)
 
-    def dfs(depth: int, states: tuple, full: tuple, start: int):
-        if depth == k - 1:
-            # states[k-1] is final here: labels are dense, so max+1 is its count
-            if crys and max(states[k - 1]) != 0:
-                return
-            for idx in range(start, len(pool)):
-                mid = idx + 2
-                if crys:
-                    if all(merge(states[h], mid)[1] == 1 for h in range(k - 1)):
-                        chosen.append(idx)
-                        survivor()
-                        chosen.pop()
-                else:
-                    if merge(full, mid)[1] == 1:
-                        chosen.append(idx)
-                        survivor()
-                        chosen.pop()
+    def dfs(depth: int, states: tuple, full: tuple, start: int, unclean: int):
+        last = depth == k - 1
+        # states[k-1] is final here: labels are dense, so max+1 is its count
+        if last and crys and max(states[k - 1]) != 0:
             return
         for idx in range(start, len(pool)):
             mid = idx + 2
-            new_states = tuple(states[h] if h == depth else merge(states[h], mid)[0]
-                               for h in range(k))
-            chosen.append(idx)
-            dfs(depth + 1, new_states, merge(full, mid)[0], idx)
-            chosen.pop()
+            if last:
+                if crys:
+                    connected = all(merge(states[h], mid)[1] == 1 for h in range(k - 1))
+                else:
+                    connected = merge(full, mid)[1] == 1
+                if not connected:
+                    continue
+            mids.append(mid)
+            now = unclean if allowance is None else add_unclean(unclean)
+            if now is not None:
+                if last:
+                    survivor()
+                else:
+                    new_states = tuple(states[h] if h == depth else merge(states[h], mid)[0]
+                                       for h in range(k))
+                    dfs(depth + 1, new_states, merge(full, mid)[0], idx, now)
+            mids.pop()
 
-    dfs(2, init_states, init_full, 0)
+    dfs(2, init_states, init_full, 0, 0)
     return sorted(codes)
 
 

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 analysis refused (hypotheses not certified),
 2 malformed input or structural error, 3 internal-consistency error (an
-identity that must hold failed - always a bug).  Diagnostics go to stderr
-as JSON; reports go to stdout, human-readable by default or as JSON with
---json.  No environment variables are consulted.
+identity that must hold failed) or any other exception - always a bug.
+Diagnostics go to stderr as JSON; reports go to stdout, human-readable by
+default or as JSON with --json.  No environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.fn(args)
+        text = _render(args.fn(args), args.json)
     except GemFormatError as exc:
         _diag("format-error", exc)
         return 2
@@ -244,11 +244,14 @@ def main(argv=None) -> int:
     except GemkitError as exc:
         _diag("error", exc)
         return 2
-    sys.stdout.write(_render(report, args.json))
+    except Exception as exc:  # noqa: BLE001 - any other failure is a bug, reported as such
+        _diag("unexpected-error", f"{type(exc).__name__}: {exc}")
+        return 3
+    sys.stdout.write(text)
     return 0
 
 
-def _diag(kind: str, exc: Exception) -> None:
+def _diag(kind: str, exc: Exception | str) -> None:
     sys.stderr.write(json.dumps(
         {"error": {"type": kind, "message": str(exc)}}, sort_keys=True) + "\n")
 

@@ -387,29 +387,73 @@ class CanonicalCode:
         return self.data.hex()
 
 
+def _minimal_first_rows(matchings, p, k, permute):
+    """The (start, color order) pairs whose stream has the least first row.
+
+    The first row names the neighbors of the start in first-appearance
+    order, so it depends only on how the colors group by the neighbor
+    they reach.  With the identity color order each start has one row;
+    when colors may be permuted the least row lists the groups largest
+    first (1,1,1,2,2 beats 1,1,2,2,2 and 1,2,1,...), so the winning starts
+    have the greatest descending group-size profile, and every order
+    that keeps the groups contiguous, largest first, attains it.
+    """
+    best_row, winners = None, []
+    for start in range(p):
+        groups = {}
+        for c in range(k):
+            groups.setdefault(matchings[c][start], []).append(c)
+        if permute:
+            blocks = sorted(groups.values(), key=len, reverse=True)
+            order = [c for b in blocks for c in b]
+        else:
+            blocks, order = None, range(k)
+        seen = {}
+        row = [seen.setdefault(matchings[c][start], len(seen) + 1) for c in order]
+        if best_row is None or row < best_row:
+            best_row, winners = row, []
+        if row == best_row:
+            winners.append((start, blocks))
+    if not permute:
+        return [(start, tuple(range(k))) for start, _ in winners]
+    out = []
+    for start, blocks in winners:
+        orders = [()]
+        # equal-size groups in any order, colors within a group in any order
+        for _, run in itertools.groupby(blocks, key=len):
+            tails = [sum(inner, ()) for outer in itertools.permutations(run)
+                     for inner in itertools.product(*map(itertools.permutations, outer))]
+            orders = [o + t for o in orders for t in tails]
+        out += [(start, order) for order in orders]
+    return out
+
+
 @lru_cache(maxsize=None)
 def canonical_code(g: ColoredGraph, flavor: str = UP_TO_COLOR_PERMUTATION) -> CanonicalCode:
     """Canonical form via lexicographically minimal BFS adjacency stream.
 
-    Streams are emitted from every start vertex (and, for the
-    up-to-color-permutation flavor, every color order) with branch-and-bound
-    pruning against the current minimum.  The code is decodable: it contains
-    the full adjacency of the canonical representative.
+    The minimum is over every start vertex and (for the
+    up-to-color-permutation flavor) every color order, found by
+    branch-and-bound pruning against the current minimum.  Only the pairs
+    whose first row - the labels of the start's neighbors - is least are
+    streamed (`_minimal_first_rows`): the least stream has the least
+    first row, since the row is its prefix, so the restriction is exact
+    and the code bytes are those of the full search.  The code is
+    decodable: it contains the full adjacency of the canonical
+    representative.  Orders above 65535 do not fit its 2-byte order field.
     """
     if flavor not in (COLOR_PRESERVING, UP_TO_COLOR_PERMUTATION):
         raise StructuralError(f"unknown code flavor {flavor!r}")
-    _require_connected(g)
     p, k = g.order, g.n_colors
-    if flavor == COLOR_PRESERVING:
-        color_orders = [tuple(range(k))]
-    else:
-        color_orders = list(itertools.permutations(range(k)))
+    if p > 0xFFFF:
+        raise StructuralError(f"canonical codes hold orders up to 65535, not {p}")
+    _require_connected(g)
     best = None
-    for color_order in color_orders:
-        for start in range(p):
-            stream = _bfs_stream(g.matchings, p, start, color_order, best)
-            if stream is not None:
-                best = stream
+    for start, color_order in _minimal_first_rows(
+            g.matchings, p, k, flavor == UP_TO_COLOR_PERMUTATION):
+        stream = _bfs_stream(g.matchings, p, start, color_order, best)
+        if stream is not None:
+            best = stream
     width = 1 if p <= 0xFF else 2
     head = bytes([flavor == UP_TO_COLOR_PERMUTATION, k, width]) + p.to_bytes(2, "big")
     body = b"".join(x.to_bytes(width, "big") for x in best)

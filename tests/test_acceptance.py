@@ -4,6 +4,7 @@ Each test prints one PASS line when its criterion holds; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -65,6 +66,9 @@ def test_acceptance_2_formula_sweep_full_corpus():
     t0 = time.time()
     records = catalogue.enumerate_gems(5, 8, filters=("crystallization",))
     assert len(records) == 37  # frozen by this enumeration: 1 + 1 + 3 + 32
+    codes = "\n".join(sorted(r.code for r in records))
+    assert hashlib.sha256(codes.encode()).hexdigest() == \
+        "bd3e41c51093f9c419832ca1fcfd03b1adecf4af4405e6e1751b0dd7407dc46b"
     result = catalogue.verify_corpus(records)
     assert result["ok"], result["failures"][:3]
     for name in ("euler-permutation-independent", "homology-dual-oracle",

@@ -1,0 +1,89 @@
+"""Canonical codes against a reference: the search over every start.
+
+The reference streams from every start vertex under every color order
+(only the identity order for the color-preserving flavor).  The library
+streams only from the (start, order) pairs with the least first row; its
+code bytes must be identical in both flavors.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from gemkit import core, fixtures
+from gemkit.errors import StructuralError
+
+from conftest import (naive_connected_gems, random_augment, random_recolor,
+                      random_relabel)
+
+FLAVORS = (core.COLOR_PRESERVING, core.UP_TO_COLOR_PERMUTATION)
+
+
+def canonical_code_oracle(g: core.ColoredGraph, flavor: str) -> bytes:
+    if not core.is_connected(g):
+        raise StructuralError("operation requires a connected graph")
+    p, k = g.order, g.n_colors
+    if flavor == core.COLOR_PRESERVING:
+        color_orders = [tuple(range(k))]
+    else:
+        color_orders = list(itertools.permutations(range(k)))
+    best = None
+    for color_order in color_orders:
+        for start in range(p):
+            stream = core._bfs_stream(g.matchings, p, start, color_order, best)
+            if stream is not None:
+                best = stream
+    width = 1 if p <= 0xFF else 2
+    head = bytes([flavor == core.UP_TO_COLOR_PERMUTATION, k, width]) + p.to_bytes(2, "big")
+    return head + b"".join(x.to_bytes(width, "big") for x in best)
+
+
+def _assert_matches_oracle(gems):
+    for g in gems:
+        for flavor in FLAVORS:
+            assert core.canonical_code(g, flavor).data == canonical_code_oracle(g, flavor), \
+                (g.matchings, flavor)
+
+
+@pytest.mark.parametrize("n_colors, order", [
+    (2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (3, 6), (4, 2), (4, 4), (4, 6), (5, 2), (5, 4),
+])
+def test_matches_oracle_on_every_small_gem(n_colors, order):
+    _assert_matches_oracle(naive_connected_gems(n_colors, order))
+
+
+@pytest.mark.parametrize("fixture", [
+    fixtures.rp3, fixtures.torus_times_colors, fixtures.cp2, fixtures.rp3_boundary,
+    fixtures.nonsimply_connected, lambda: fixtures.sigma(5),
+])
+def test_matches_oracle_on_relabelled_fixtures(fixture):
+    rng = random.Random(17)
+    _assert_matches_oracle(random_recolor(random_relabel(fixture(), rng), rng)
+                           for _ in range(6))
+
+
+def test_matches_oracle_on_connected_sums():
+    rng = random.Random(23)
+    g = fixtures.cp2()
+    for _ in range(3):
+        g = core.connected_sum(g, fixtures.cp2())
+        _assert_matches_oracle([g, random_recolor(random_relabel(g, rng), rng)])
+
+
+@pytest.mark.parametrize("fixture", [fixtures.rp3, fixtures.cp2, fixtures.rp3_boundary])
+def test_matches_oracle_on_buried_gems(fixture):
+    rng = random.Random(29)
+    _assert_matches_oracle(random_relabel(random_augment(fixture(), rng, 6), rng)
+                           for _ in range(3))
+
+
+def test_code_refuses_orders_beyond_two_bytes():
+    p = 65538
+    cycle = tuple(v + 1 if v % 2 else v - 1 for v in range(p))
+    cycle = (p - 1,) + cycle[1:-1] + (0,)
+    g = core.ColoredGraph((tuple(v ^ 1 for v in range(p)), cycle))  # one 2-colored cycle
+    with pytest.raises(StructuralError, match="65535"):
+        core.canonical_code(g)

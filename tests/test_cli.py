@@ -155,7 +155,11 @@ def test_generate_and_verify_round_trip(capsys, tmp_path):
     assert json.loads(out)["ok"] is True
 
 
-@pytest.mark.parametrize("line", ['{"order": 2}', "[1,2]", '{"code":"0105000002"}'])
+@pytest.mark.parametrize("line", [
+    '{"order": 2}', "[1,2]", '{"code":"0105000002"}',
+    pytest.param("[" * 100000, id="deep-nesting"),
+    pytest.param('{"code": "00", "order": 1' + "0" * 5000 + "}", id="huge-int"),
+])
 def test_verify_malformed_catalogue_line_exits_2(capsys, tmp_path, line):
     path = tmp_path / "bad.jsonl"
     path.write_text(line + "\n")
@@ -172,3 +176,16 @@ def test_verify_undecodable_code_is_a_check_failure(capsys, tmp_path):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 3
     assert "decode-recode" in json.loads(err)["error"]["message"]
+
+
+def test_unexpected_exception_exits_3_with_json_diagnostic(capsys, monkeypatch, gem_file):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_info", boom)
+    path = gem_file(fixtures.sigma(5), "s5.gem")
+    code, out, err = run(capsys, "info", path)
+    assert code == 3 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": {"type": "unexpected-error",
+                                         "message": "RuntimeError: boom"}}

@@ -1,0 +1,112 @@
+"""Property tests over the input boundaries: arbitrary `.gem` text, codes
+and catalogue lines are either accepted or refused with the documented
+error, and `gemkit verify` answers every file with a documented exit code
+and a JSON diagnostic.  Example counts are bounded and the search is
+derandomized so the suite's time stays flat."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from gemkit import catalogue, cli, core, fixtures
+from gemkit.errors import GemFormatError
+
+BOUNDED = settings(max_examples=150, deadline=None, derandomize=True)
+
+GOOD_CODES = [core.canonical_code(g).hex()
+              for g in (fixtures.sigma(5), fixtures.sigma(3), fixtures.rp3())]
+
+
+@st.composite
+def code_bytes(draw):
+    """Byte strings near the code format: a plausible header and a body of
+    roughly the declared length, or raw bytes."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    flavor = draw(st.integers(0, 2))
+    k = draw(st.integers(0, 6))
+    width = draw(st.integers(0, 3))
+    p = draw(st.integers(0, 8))
+    size = max(0, p * k * max(width, 1) + draw(st.integers(-2, 2)))
+    body = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))
+    return bytes([flavor, k, width]) + p.to_bytes(2, "big") + \
+        b"".join(x.to_bytes(max(width, 1), "big") for x in body)
+
+
+@BOUNDED
+@given(code_bytes())
+def test_decode_code_accepts_or_refuses(data):
+    try:
+        g = core.decode_code(data)
+    except GemFormatError:
+        return
+    assert isinstance(g, core.ColoredGraph)
+    assert core.decode_code(data.hex()) == g
+
+
+@st.composite
+def gem_texts(draw):
+    """`.gem` text: a header and rows of small integers, or raw text."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=40))
+    k, p = draw(st.integers(-1, 4)), draw(st.integers(-1, 6))
+    n_rows = max(0, k + draw(st.integers(-1, 1)))
+    rows = [" ".join(map(str, draw(st.lists(st.integers(-1, 6), min_size=max(p, 0),
+                                            max_size=max(p, 0) + 1))))
+            for _ in range(n_rows)]
+    return "\n".join([f"gem {k} {p}"] + rows) + draw(st.sampled_from(["\n", ""]))
+
+
+@BOUNDED
+@given(gem_texts())
+def test_parse_gem_accepts_or_refuses(text):
+    try:
+        g = core.parse_gem(text)
+    except GemFormatError:
+        return
+    assert core.parse_gem(core.format_gem(g)) == g
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 300), st.text(max_size=8))
+codes = st.one_of(st.sampled_from(GOOD_CODES), st.binary(max_size=12).map(bytes.hex), scalars)
+partial_records = st.fixed_dictionaries(
+    {}, optional={"code": codes, "order": scalars, "colors": scalars,
+                  "bipartite": scalars, "generator": scalars, "manifold": scalars})
+# whole records of real gems, some with one field overwritten
+real_records = st.builds(
+    lambda code, key, value: {**json.loads(catalogue.build_record(code).to_json_line()),
+                              **({key: value} if key else {})},
+    st.sampled_from(GOOD_CODES),
+    st.sampled_from([None, "order", "bipartite", "generator", "manifold", "genus"]),
+    scalars)
+lines = st.one_of(st.text(max_size=30), partial_records.map(json.dumps),
+                  real_records.map(json.dumps), st.lists(scalars, max_size=3).map(json.dumps))
+
+
+@BOUNDED
+@given(lines)
+def test_catalogue_line_accepts_or_refuses(line):
+    try:
+        rec = catalogue.CatalogueRecord.from_json_line(line)
+    except GemFormatError:
+        return
+    assert isinstance(rec.code, str)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(lines, max_size=3))
+def test_verify_exit_code_and_diagnostic(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("verify") / "cat.jsonl"
+    path.write_text("\n".join(content) + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["verify", str(path)])
+    assert rc in (0, 1, 2, 3)
+    if rc == 0:
+        assert err.getvalue() == ""
+    else:
+        assert "error" in json.loads(err.getvalue())
