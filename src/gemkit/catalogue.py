@@ -129,26 +129,21 @@ def canonical_second_matchings(p: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 def _passes_expensive(g: core.ColoredGraph, filters) -> bool:
-    if "manifold" in filters or "crystallization" in filters \
-            or "simply-connected" in filters or "weak-simple" in filters \
-            or "handle-witness" in filters:
-        mc = recognition.check_closed_manifold(g)
-        if "manifold" in filters and not mc.is_manifold:
+    needs_pi1 = {"simply-connected", "weak-simple", "handle-witness"} & set(filters)
+    if "manifold" in filters and not recognition.check_closed_manifold(g).is_manifold:
+        return False
+    if ("crystallization" in filters or needs_pi1) \
+            and not recognition.is_crystallization(g)[0]:
+        return False
+    if needs_pi1:
+        cert = invariants.pi1_certificate(g)
+        if "simply-connected" in filters and cert.status != "trivial":
             return False
-        if "crystallization" in filters and not recognition.is_crystallization(g)[0]:
+        if "weak-simple" in filters:
+            if cert.status == "nontrivial" or not classification.detect_weak_simple(g):
+                return False
+        if "handle-witness" in filters and not handles.find_hypothesis_witnesses(g):
             return False
-        needs_pi1 = {"simply-connected", "weak-simple", "handle-witness"} & set(filters)
-        if needs_pi1:
-            if not recognition.is_crystallization(g)[0]:
-                return False
-            cert = invariants.pi1_certificate(g)
-            if "simply-connected" in filters and cert.status != "trivial":
-                return False
-            if "weak-simple" in filters:
-                if cert.status == "nontrivial" or not classification.detect_weak_simple(g):
-                    return False
-            if "handle-witness" in filters and not handles.find_hypothesis_witnesses(g):
-                return False
     return True
 
 
@@ -215,8 +210,7 @@ def build_record(code_hex: str) -> CatalogueRecord:
     gen_json = genus.genus_all(g).to_json()
     cls_json = None
     hnd_json = None
-    if g.n_colors == 5 and mc and mc.is_manifold and len(mc.singular_colors) <= 1 \
-            and recognition.is_crystallization(g)[0]:
+    if g.n_colors == 5 and recognition.is_crystallization(g)[0]:
         cert = invariants.pi1_certificate(g)
         if cert.status != "nontrivial":
             cls_json = classification.classification_report(g).to_json()
@@ -557,10 +551,7 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
             raise InternalConsistencyError("manifold verdict drifted")
     run("manifold-verdict", chk_mc)
 
-    if g.n_colors != 5 or not mc.is_manifold or len(mc.singular_colors) > 1:
-        return out
-    crys = recognition.is_crystallization(g)[0]
-    if not crys:
+    if g.n_colors != 5 or not recognition.is_crystallization(g)[0]:
         return out
     run("euler-permutation-independent", lambda: invariants.euler_via_genus(g))
     run("homology-dual-oracle", lambda: invariants.homology(g))

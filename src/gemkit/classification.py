@@ -16,15 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core, genus, invariants, recognition
-from .errors import AnalysisRefused, InternalConsistencyError, StructuralError
-
-
-def _require_crystallization(g: core.ColoredGraph):
-    if g.n_colors != 5:
-        raise StructuralError("classification needs a 5-colored graph")
-    ok, counts = recognition.is_crystallization(g)
-    if not ok:
-        raise StructuralError(f"not a crystallization (hat-residue counts {counts})")
+from .errors import AnalysisRefused, InternalConsistencyError
 
 
 def _certificate(g: core.ColoredGraph) -> invariants.Pi1Certificate:
@@ -38,7 +30,7 @@ def _certificate(g: core.ColoredGraph) -> invariants.Pi1Certificate:
 
 def t_values(g: core.ColoredGraph) -> dict[tuple[int, int, int], int]:
     """Residue count minus one for every 3-subset of the colors."""
-    _require_crystallization(g)
+    recognition.require_crystallization(g)
     return {triple: core.residue_count(g, triple) - 1
             for triple in itertools.combinations(range(5), 3)}
 
@@ -57,7 +49,7 @@ def detect_weak_simple(g: core.ColoredGraph) -> list[genus.CyclicPermutation]:
     Refuses when pi1 is certified nontrivial; an unknown certificate lets
     the computation run (callers watermark the report as conditional).
     """
-    _require_crystallization(g)
+    recognition.require_crystallization(g)
     _certificate(g)
     t = t_values(g)
     return [eps for eps in genus.all_cyclic_permutations(5)
@@ -76,10 +68,9 @@ def genus_subgenus_residuals(g: core.ColoredGraph, eps) -> tuple[Fraction, ...]:
     simply-connected compact 4-manifold with empty or connected boundary;
     a nonzero residual means a genus or residue-count bug.
     """
-    _require_crystallization(g)
+    recognition.require_crystallization(g)
     cert = _certificate(g)
-    if not isinstance(eps, genus.CyclicPermutation):
-        eps = genus.CyclicPermutation.canonical(tuple(eps))
+    eps = genus.as_permutation(g, eps)
     report = genus.genus_all(g)
     rho = report.rho[eps]
     sub = report.subgenera[eps]
@@ -149,7 +140,7 @@ def check_bounds(g: core.ColoredGraph) -> BoundsReport:
     bound, hits it exactly iff a weak-simple order exists, and at every
     weak-simple order all five subgenera equal chi(singular model) - 2.
     """
-    _require_crystallization(g)
+    recognition.require_crystallization(g)
     cert = _certificate(g)
     conditional = cert.status != "trivial"
     hom = invariants.homology(g)

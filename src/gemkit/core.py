@@ -22,6 +22,11 @@ from .errors import GemFormatError, StructuralError
 
 COLOR_PRESERVING = "color-preserving"
 UP_TO_COLOR_PERMUTATION = "up-to-color-permutation"
+# Codes kept by canonical_code's memo.  An enumeration computes each code
+# once (no hits), while one CLI run asks several times for the code of one
+# graph; a bound keeps the latter and stops the former from growing
+# without limit.
+_CODE_MEMO = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,7 +287,8 @@ def is_connected(g: ColoredGraph) -> bool:
     return residue_labels(g, tuple(g.colors))[1] == 1
 
 
-def _require_connected(g: ColoredGraph):
+def require_connected(g: ColoredGraph):
+    """Refuse a disconnected graph: every analysis is stated for connected gems."""
     if not is_connected(g):
         raise StructuralError("operation requires a connected graph")
 
@@ -293,7 +299,7 @@ def bipartition(g: ColoredGraph) -> tuple[int, ...] | None:
 
     Class of vertex 0 is 0.  Requires a connected graph.
     """
-    _require_connected(g)
+    require_connected(g)
     return two_coloring(g.matchings)
 
 
@@ -305,35 +311,25 @@ def odd_cycle(g: ColoredGraph) -> tuple[int, ...] | None:
     """An odd closed walk witnessing non-bipartiteness, or None."""
     if bipartition(g) is not None:
         return None
-    # BFS tree; the first same-side edge closes an odd cycle through the root.
-    p = g.order
-    side = [-1] * p
-    parent: list[tuple[int, int] | None] = [None] * p
-    side[0] = 0
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for c in g.colors:
-            w = g.matchings[c][v]
-            if side[w] < 0:
-                side[w] = 1 - side[v]
-                parent[w] = (v, c)
-                queue.append(w)
-            elif side[w] == side[v]:
-                def path(x):
-                    out = [x]
-                    while parent[x] is not None:
-                        x = parent[x][0]
-                        out.append(x)
-                    return out[::-1]
-                a, b = path(v), path(w)
-                while len(a) > 1 and len(b) > 1 and a[1] == b[1]:
-                    a.pop(0)
-                    b.pop(0)
-                return tuple(a + b[::-1][:-1])
-    return None
+    # A breadth-first tree; any edge joining two vertices of the same depth
+    # parity closes an odd cycle through their lowest common ancestor.
+    edges = [(v, w) for row in g.matchings for v, w in enumerate(row) if v < w]
+    parent = [-1] * g.order
+    depth = [0] * g.order
+    for idx in spanning_tree(g.order, edges):  # discovery order: one end is placed
+        a, b = edges[idx]
+        if b == 0 or parent[b] >= 0:
+            a, b = b, a
+        parent[b], depth[b] = a, depth[a] + 1
+    # tree edges join depths of opposite parity, so this edge is off the tree
+    v, w = next((a, b) for a, b in edges if depth[a] % 2 == depth[b] % 2)
+    down, up = [v], [w]  # v up to the ancestor, then w's side back down
+    while down[-1] != up[-1]:
+        if depth[down[-1]] >= depth[up[-1]]:
+            down.append(parent[down[-1]])
+        else:
+            up.append(parent[up[-1]])
+    return tuple(down + up[-2::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +424,7 @@ def _minimal_first_rows(matchings, p, k, permute):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CODE_MEMO)
 def canonical_code(g: ColoredGraph, flavor: str = UP_TO_COLOR_PERMUTATION) -> CanonicalCode:
     """Canonical form via lexicographically minimal BFS adjacency stream.
 
@@ -447,7 +443,7 @@ def canonical_code(g: ColoredGraph, flavor: str = UP_TO_COLOR_PERMUTATION) -> Ca
     p, k = g.order, g.n_colors
     if p > 0xFFFF:
         raise StructuralError(f"canonical codes hold orders up to 65535, not {p}")
-    _require_connected(g)
+    require_connected(g)
     best = None
     for start, color_order in _minimal_first_rows(
             g.matchings, p, k, flavor == UP_TO_COLOR_PERMUTATION):
@@ -505,8 +501,8 @@ def connected_sum(g1: ColoredGraph, g2: ColoredGraph, v1: int = 0,
     """
     if g1.n_colors != g2.n_colors:
         raise StructuralError("connected sum needs equal color counts")
-    _require_connected(g1)
-    _require_connected(g2)
+    require_connected(g1)
+    require_connected(g2)
     if not 0 <= v1 < g1.order:
         raise StructuralError("v1 out of range")
     if v2 is None:
@@ -601,7 +597,7 @@ def find_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
 
     Order-2 graphs have none by definition.
     """
-    _require_connected(g)
+    require_connected(g)
     if g.order <= 2:
         return ()
     k = g.n_colors
@@ -742,7 +738,7 @@ def reduce(g: ColoredGraph) -> ColoredGraph:
     holds at every later step.  Otherwise each candidate is certified
     before elimination.
     """
-    _require_connected(g)
+    require_connected(g)
     certify = _needs_certification(g)
     while True:
         top = _top_dipole(g, certify)

@@ -75,7 +75,9 @@ def all_cyclic_permutations(n_colors: int) -> tuple[CyclicPermutation, ...]:
     return tuple(sorted(out, key=lambda e: e.seq))
 
 
-def _as_permutation(g: core.ColoredGraph, eps) -> CyclicPermutation:
+def as_permutation(g: core.ColoredGraph, eps) -> CyclicPermutation:
+    """``eps`` (a CyclicPermutation or any color sequence) as the canonical
+    cyclic order of g's colors; refuses a sequence of another length."""
     if isinstance(eps, CyclicPermutation):
         perm = eps
     else:
@@ -91,8 +93,7 @@ def genus_of_sequence(g: core.ColoredGraph, seq: tuple[int, ...]) -> Fraction:
     Helper shared by genus_wrt and the induced (deleted-color) orders of
     subgenus computations; ``seq`` need not be in canonical form.
     """
-    if not core.is_connected(g):
-        raise StructuralError("genus requires a connected graph")
+    core.require_connected(g)
     k = len(seq)
     n = k - 1
     p_half = g.order // 2
@@ -120,7 +121,7 @@ def genus_wrt(g: core.ColoredGraph, eps) -> Fraction:
 
     Integer for bipartite graphs, otherwise a nonnegative multiple of 1/2.
     """
-    return genus_of_sequence(g, _as_permutation(g, eps).seq)
+    return genus_of_sequence(g, as_permutation(g, eps).seq)
 
 
 def subgenus(g: core.ColoredGraph, eps, i: int) -> Fraction:
@@ -129,7 +130,7 @@ def subgenus(g: core.ColoredGraph, eps, i: int) -> Fraction:
     When several residues exist (non-contracted input) the value is the sum
     of the component genera; genus_all flags that case.
     """
-    perm = _as_permutation(g, eps)
+    perm = as_permutation(g, eps)
     if not 0 <= i < perm.n_colors:
         raise StructuralError("subgenus position out of range")
     sub_seq = perm.delete(i)

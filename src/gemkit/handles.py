@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import classification, core, genus, invariants, recognition
+from . import core, genus, invariants, recognition
 from .errors import InternalConsistencyError, StructuralError
 
 NO_ONE_HANDLES = "no-1-handles"
@@ -68,7 +68,7 @@ def find_hypothesis_witnesses(g: core.ColoredGraph) -> tuple[HypothesisWitness, 
     entirely, and the special pattern must keep it in the free pair.
     An empty result is a valid answer.
     """
-    classification._require_crystallization(g)
+    recognition.require_crystallization(g)
     sing = recognition.singular_colors(g)
     s = sing[0] if sing else None
     out = []
@@ -133,7 +133,7 @@ def handle_profile(g: core.ColoredGraph, w: HypothesisWitness) -> HandleProfile:
     1-handles, beta2 + t 2-handles, t 3-handles (t = the witness triple's
     residue defect, forced to 0 for the special kind) and, in the closed
     case, one 4-handle."""
-    classification._require_crystallization(g)
+    recognition.require_crystallization(g)
     if not (pair_condition(g, w.pair[0], w.pivot)
             and pair_condition(g, w.pair[1], w.pivot)):
         raise StructuralError("witness conditions do not hold on this graph")
@@ -168,7 +168,7 @@ def subgenus_target(g: core.ColoredGraph, j: int, k: int, s: int):
     defect vanishes and the subgenus is beta2 exactly.  Returns
     (value, permutation).
     """
-    classification._require_crystallization(g)
+    recognition.require_crystallization(g)
     sing = recognition.singular_colors(g)
     top = sing[0] if sing else 4
     lower = sorted(set(range(5)) - {top})
@@ -180,8 +180,8 @@ def subgenus_target(g: core.ColoredGraph, j: int, k: int, s: int):
         raise StructuralError(f"g(hat {j} hat {k}) != 1")
     r = next(c for c in lower if c not in (s, j, k))
     eps = (s, j, r, k, top)
-    value = genus.subgenus(g, genus.CyclicPermutation.canonical(eps),
-                           genus.CyclicPermutation.canonical(eps).seq.index(s))
+    perm = genus.CyclicPermutation.canonical(eps)
+    value = genus.subgenus(g, perm, perm.seq.index(s))
     beta2 = invariants.beta2_via_genus(g)
     t = core.residue_count(g, tuple(sorted((s, j, k)))) - 1
     if value != beta2 + t:
@@ -230,7 +230,7 @@ def collapse_2skeleton(g: core.ColoredGraph, w: HypothesisWitness) -> CollapseTr
     """Run the elementary collapses licensed by a witness and verify the
     counting identities relating triangles, edges and the deleted-start
     subgenus."""
-    classification._require_crystallization(g)
+    recognition.require_crystallization(g)
     e0, e1, e2, e3, e4 = w.permutation
     if not (pair_condition(g, e0, e3) and pair_condition(g, e1, e3)):
         raise StructuralError("witness conditions do not hold on this graph")

@@ -114,6 +114,15 @@ def smith_normal_form(rows: list[list[int]]) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def _abelian_invariants(gens: int, rows) -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion factors) of the abelian group on ``gens``
+    generators with relation rows ``rows``."""
+    if not rows or gens == 0:
+        return gens, ()
+    factors = smith_normal_form(rows)
+    return gens - len(factors), tuple(d for d in factors if d > 1)
+
+
 def h1_text(free_rank: int, torsion: tuple[int, ...]) -> str:
     parts = []
     if free_rank == 1:
@@ -134,8 +143,7 @@ def euler_characteristic(g: core.ColoredGraph) -> int:
     k-simplices of the complex correspond to residues over n-k colors
     (n = dimension), with the n-simplices being the graph vertices.
     """
-    if not core.is_connected(g):
-        raise StructuralError("euler characteristic requires a connected graph")
+    core.require_connected(g)
     k = g.n_colors
     n = k - 1
     chi = 0
@@ -150,33 +158,36 @@ def euler_characteristic(g: core.ColoredGraph) -> int:
     return chi
 
 
+def _genus_identity(g: core.ColoredGraph, name: str, value) -> int:
+    """An integer read off the genus report of a 5-colored crystallization
+    by ``value(report, eps)``, which must give it at every cyclic order."""
+    recognition.require_crystallization(g)
+    report = genus.genus_all(g)
+    values = {e: value(report, e) for e in report.rho}
+    distinct = set(values.values())
+    if len(distinct) != 1:
+        raise InternalConsistencyError(
+            f"{name} from genus depends on the permutation: {values}")
+    val = distinct.pop()
+    if val.denominator != 1:
+        raise InternalConsistencyError(f"non-integral {name} {val}")
+    return int(val)
+
+
 def euler_via_genus(g: core.ColoredGraph, eps=None) -> int:
     """Euler characteristic of the represented singular 4-manifold from the
     genus/subgenus split: 2 - 2*rho_eps + sum_i rho with color eps_i dropped.
 
     Independent of eps; the all-permutation sweep is asserted and any
     mismatch is a structural bug (useful as a fuzz oracle).  Requires a
-    5-colored crystallization.
+    5-colored crystallization; ``eps``, if given, must be a cyclic order of
+    its five colors.
     """
-    if g.n_colors != 5:
-        raise StructuralError("euler_via_genus needs a 5-colored graph")
-    ok, counts = recognition.is_crystallization(g)
-    if not ok:
-        raise StructuralError(f"not a crystallization (hat-residue counts {counts})")
-    report = genus.genus_all(g)
-    values = {e: 2 - 2 * report.rho[e] + sum(report.subgenera[e])
-              for e in report.rho}
-    distinct = set(values.values())
-    if len(distinct) != 1:
-        raise InternalConsistencyError(
-            f"genus-based euler characteristic depends on permutation: {values}")
-    val = distinct.pop()
-    if val.denominator != 1:
-        raise InternalConsistencyError(f"non-integral euler characteristic {val}")
+    chi = _genus_identity(g, "euler characteristic",
+                          lambda rep, e: 2 - 2 * rep.rho[e] + sum(rep.subgenera[e]))
     if eps is not None:
-        return int(values[genus.CyclicPermutation.canonical(tuple(eps))
-                          if not isinstance(eps, genus.CyclicPermutation) else eps])
-    return int(val)
+        genus.as_permutation(g, eps)
+    return chi
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +237,7 @@ def presentation_raw(g: core.ColoredGraph, i: int, j: int,
         raise StructuralError("group presentations need at least 4 colors")
     if i == j or not (0 <= i < g.n_colors and 0 <= j < g.n_colors):
         raise StructuralError(f"bad color pair ({i}, {j})")
-    core._require_connected(g)
+    core.require_connected(g)
     comp_key = core.complement_key((i, j), g.n_colors)
     gen_labels, gen_count = core.residue_labels(g, comp_key)
 
@@ -257,25 +268,39 @@ def presentation_raw(g: core.ColoredGraph, i: int, j: int,
                         colors=(i, j), flavor=flavor)
 
 
+def color_pair(g: core.ColoredGraph, flavor: str = COMPACT) -> tuple[int, int]:
+    """The color pair pi1 is read off by default.
+
+    Compact manifold: the first two non-singular colors.  Singular model:
+    both singular colors when there are two, (first other color, s) when
+    s is the only one, and the compact pair when there are none.
+    """
+    sing = recognition.singular_colors(g)
+    if flavor == SINGULAR and sing:
+        if len(sing) > 2:
+            raise StructuralError(
+                f"{len(sing)} singular colors leave no color pair for the "
+                "singular model's group")
+        if len(sing) == 2:
+            return sing
+        return next(c for c in g.colors if c != sing[0]), sing[0]
+    regular = [c for c in g.colors if c not in sing]
+    if len(regular) < 2:
+        raise StructuralError("no non-singular color pair available")
+    return regular[0], regular[1]
+
+
 def pi1_presentation(g: core.ColoredGraph, i: int | None = None,
                      j: int | None = None, flavor: str = COMPACT) -> Presentation:
     """Validated presentation of pi1 of the represented compact manifold
     (flavor compact-manifold: both colors non-singular) or of its singular
-    model (flavor singular-manifold: every singular color among {i, j})."""
+    model (flavor singular-manifold: every singular color among {i, j}).
+    Without both colors given, reads the flavor's ``color_pair``."""
     if flavor not in (COMPACT, SINGULAR):
         raise StructuralError(f"unknown presentation flavor {flavor!r}")
     sing = recognition.singular_colors(g)
     if i is None or j is None:
-        if flavor == COMPACT:
-            candidates = [c for c in g.colors if c not in sing]
-            if len(candidates) < 2:
-                raise StructuralError("no non-singular color pair available")
-            i, j = candidates[0], candidates[1]
-        else:
-            if len(sing) > 2:
-                raise StructuralError("more than two singular colors")
-            j = sing[-1] if sing else 1
-            i = next(c for c in g.colors if c != j)
+        i, j = color_pair(g, flavor)
     if flavor == COMPACT and (i in sing or j in sing):
         raise StructuralError(f"colors ({i}, {j}) must both be non-singular")
     if flavor == SINGULAR and not set(sing) <= {i, j}:
@@ -292,11 +317,7 @@ def h1_from_presentation(pres: Presentation) -> tuple[int, tuple[int, ...]]:
         for x in word:
             row[abs(x) - 1] += 1 if x > 0 else -1
         rows.append(row)
-    if not rows or gens == 0:
-        return gens, ()
-    factors = smith_normal_form(rows)
-    torsion = tuple(d for d in factors if d > 1)
-    return gens - len(factors), torsion
+    return _abelian_invariants(gens, rows)
 
 
 def abelian_rank(pres: Presentation) -> int:
@@ -392,7 +413,7 @@ def h1_via_edge_path(g: core.ColoredGraph) -> tuple[int, tuple[int, ...]]:
     spanning tree, with one relator per triangle boundary.  This presents
     pi1 of the singular model and abelianizes to H1.
     """
-    core._require_connected(g)
+    core.require_connected(g)
     k = g.n_colors
     if k < 4:
         raise StructuralError("edge-path homology needs at least 4 colors")
@@ -442,11 +463,7 @@ def h1_via_edge_path(g: core.ColoredGraph) -> tuple[int, tuple[int, ...]]:
                 if idx in gen_of_edge:
                     row[gen_of_edge[idx] - 1] += sgn
             rows.append(row)
-    if not rows or gens == 0:
-        return gens, ()
-    factors = smith_normal_form(rows)
-    torsion = tuple(d for d in factors if d > 1)
-    return gens - len(factors), torsion
+    return _abelian_invariants(gens, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -471,29 +488,14 @@ class Pi1Certificate:
 
 @lru_cache(maxsize=None)
 def pi1_certificate(g: core.ColoredGraph) -> Pi1Certificate:
-    sing = recognition.singular_colors(g)
-    if len(sing) > 2:
-        raise StructuralError(
-            f"{len(sing)} singular colors leave no valid color pair for the "
-            "singular model's group")
-    pairs = [p for p in itertools.combinations(range(g.n_colors), 2)
-             if not set(p) & set(sing)]
-    if not pairs:
-        raise StructuralError("no non-singular color pair for pi1")
-    first = presentation_raw(g, *pairs[0])
-    m = abelian_rank(first)
-    if len(sing) == 2:
-        m_prime = abelian_rank(presentation_raw(g, sing[0], sing[1]))
-    elif sing:
-        m_prime = abelian_rank(
-            presentation_raw(g, next(c for c in g.colors if c != sing[0]), sing[0]))
-    else:
-        m_prime = m
+    compact, singular = color_pair(g), color_pair(g, SINGULAR)
+    m = abelian_rank(presentation_raw(g, *compact))
+    m_prime = m if singular == compact else abelian_rank(presentation_raw(g, *singular))
     if m > 0:
         return Pi1Certificate("nontrivial", m, m_prime, None)
-    for pair in pairs:
-        pres = presentation_raw(g, *pair)
-        if tietze_trivializes(pres):
+    sing = recognition.singular_colors(g)
+    for pair in itertools.combinations(range(g.n_colors), 2):
+        if not set(pair) & set(sing) and tietze_trivializes(presentation_raw(g, *pair)):
             # pi1 of the singular model is a quotient, so it collapses too
             return Pi1Certificate("trivial", 0, 0, pair)
     return Pi1Certificate("unknown", m, m_prime, None)
@@ -541,14 +543,10 @@ def homology(g: core.ColoredGraph) -> HomologyReport:
     if len(sing) > 1:
         raise StructuralError("more than one singular color")
 
-    compact_pair = tuple(c for c in g.colors if c not in sing)[:2]
-    pres_compact = presentation_raw(g, *compact_pair)
-    b1, torsion = h1_from_presentation(pres_compact)
-
+    b1, torsion = h1_from_presentation(presentation_raw(g, *color_pair(g)))
     if sing:
-        pres_sing = presentation_raw(
-            g, next(c for c in g.colors if c != sing[0]), sing[0])
-        b1_hat_a, torsion_hat_a = h1_from_presentation(pres_sing)
+        b1_hat_a, torsion_hat_a = h1_from_presentation(
+            presentation_raw(g, *color_pair(g, SINGULAR)))
     else:
         b1_hat_a, torsion_hat_a = b1, torsion
     b1_hat_b, torsion_hat_b = h1_via_edge_path(g)
@@ -560,7 +558,7 @@ def homology(g: core.ColoredGraph) -> HomologyReport:
 
     chi = euler_characteristic(g)
     contracted = all(n == 1 for n in core.hat_residue_counts(g).values())
-    if contracted and recognition.is_crystallization(g)[0]:
+    if contracted:  # with at most one singular color: a crystallization
         chi_genus = euler_via_genus(g)
         if chi_genus != chi:
             raise InternalConsistencyError(
@@ -584,19 +582,11 @@ def beta2_via_genus(g: core.ColoredGraph) -> int:
     if cert.status != "trivial":
         raise AnalysisRefused(
             f"beta2_via_genus needs certified trivial pi1 (status: {cert.status})")
-    ok, counts = recognition.is_crystallization(g)
-    if not ok:
-        raise StructuralError(f"not a crystallization (hat-residue counts {counts})")
+    beta2 = _genus_identity(g, "beta2",
+                            lambda rep, e: sum(rep.subgenera[e]) - 2 * rep.rho[e])
+    if beta2 < 0:
+        raise InternalConsistencyError(f"bad beta2 value {beta2}")
     report = genus.genus_all(g)
-    values = {e: sum(report.subgenera[e]) - 2 * report.rho[e] for e in report.rho}
-    distinct = set(values.values())
-    if len(distinct) != 1:
-        raise InternalConsistencyError(
-            f"beta2 from genus depends on the permutation: {values}")
-    val = distinct.pop()
-    if val.denominator != 1 or val < 0:
-        raise InternalConsistencyError(f"bad beta2 value {val}")
-    beta2 = int(val)
     min_sub = min(min(vals) for vals in report.subgenera.values())
     if beta2 > min_sub:
         raise InternalConsistencyError(

@@ -14,7 +14,7 @@ conditional rather than ever guessing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -94,28 +94,40 @@ def classify_surface(g: core.ColoredGraph):
     return genus.genus_wrt(g, eps), core.is_bipartite(g)
 
 
+def _surface_certificate(g: core.ColoredGraph) -> SphereCertificate:
+    """Sphere certificate of a 3-colored gem: a 2-sphere exactly when its
+    genus is 0."""
+    rho, _ = classify_surface(g)
+    if rho == 0:
+        return SphereCertificate(CERTIFIED_SPHERE, "genus-zero")
+    return SphereCertificate(CERTIFIED_NONSPHERE, "genus-zero",
+                             detail=f"surface genus {genus.fraction_json(rho)}")
+
+
+def _genus_zero_order(g: core.ColoredGraph):
+    """The first cyclic order at which g has genus 0, or None."""
+    return next((eps for eps in genus.all_cyclic_permutations(g.n_colors)
+                 if genus.genus_wrt(g, eps) == 0), None)
+
+
 @lru_cache(maxsize=None)
 def sphere_certificate(g: core.ColoredGraph) -> SphereCertificate:
     """Try to decide whether a connected k-colored gem represents a sphere.
 
     Chain: trivial low dimensions; the closed-manifold check (a singular or
     non-manifold complex is certainly not a sphere, and a failing residue is
-    itself a genus obstruction); any genus-0 permutation; dipole reduction
-    to order 2; nontrivial H1 as an obstruction; else unknown.
+    itself a genus obstruction); any genus-0 permutation, before and after
+    dipole reduction (which may also reach order 2); nontrivial H1 as an
+    obstruction; else unknown.
     """
-    if not core.is_connected(g):
-        raise StructuralError("sphere recognition requires a connected graph")
+    core.require_connected(g)
     k = g.n_colors
     if k == 1:
         return SphereCertificate(CERTIFIED_SPHERE, "dipole-reduction-to-order-2")
     if k == 2:
         return SphereCertificate(CERTIFIED_SPHERE, "genus-zero")
     if k == 3:
-        rho, _ = classify_surface(g)
-        if rho == 0:
-            return SphereCertificate(CERTIFIED_SPHERE, "genus-zero")
-        return SphereCertificate(CERTIFIED_NONSPHERE, "genus-zero",
-                                 detail=f"surface genus {genus.fraction_json(rho)}")
+        return _surface_certificate(g)
     mc = check_closed_manifold(g)
     if mc.verdict != f"closed-{k - 1}-manifold":
         return SphereCertificate(
@@ -124,17 +136,16 @@ def sphere_certificate(g: core.ColoredGraph) -> SphereCertificate:
     if mc.conditional:
         # closed-manifold-hood itself rests on unknowns; claim nothing
         return SphereCertificate(UNKNOWN, None)
-    for eps in genus.all_cyclic_permutations(k):
-        if genus.genus_wrt(g, eps) == 0:
-            return SphereCertificate(CERTIFIED_SPHERE, "genus-zero", detail=str(eps))
+    eps = _genus_zero_order(g)
+    if eps is not None:
+        return SphereCertificate(CERTIFIED_SPHERE, "genus-zero", detail=str(eps))
     reduced = core.reduce(g)
     if reduced.order == 2:
         return SphereCertificate(CERTIFIED_SPHERE, "dipole-reduction-to-order-2")
-    if reduced is not g:
-        for eps in genus.all_cyclic_permutations(k):
-            if genus.genus_wrt(reduced, eps) == 0:
-                return SphereCertificate(CERTIFIED_SPHERE, "genus-zero",
-                                         detail=f"after reduction, {eps}")
+    eps = _genus_zero_order(reduced) if reduced is not g else None
+    if eps is not None:
+        return SphereCertificate(CERTIFIED_SPHERE, "genus-zero",
+                                 detail=f"after reduction, {eps}")
     from . import invariants
 
     free_rank, torsion = invariants.h1_from_presentation(
@@ -168,8 +179,7 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
     all); sphere recognition on the 4-colored residues then separates
     closed from singular.
     """
-    if not core.is_connected(g):
-        raise StructuralError("manifold check requires a connected graph")
+    core.require_connected(g)
     k = g.n_colors
     n = k - 1
     if k < 3:
@@ -179,41 +189,17 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
         return ManifoldClass(verdict="surface", dimension=2, singular_colors=(),
                              conditional=False, surface_genus=rho,
                              orientable=orientable)
-    if k == 4:
-        singular = []
-        certs = []
-        for c in g.colors:
-            residues = core.extract_residues(g, core.complement_key((c,), k))
-            col = []
-            for r in residues:
-                rho, _ = classify_surface(r.graph)
-                if rho == 0:
-                    col.append(SphereCertificate(CERTIFIED_SPHERE, "genus-zero"))
-                else:
-                    col.append(SphereCertificate(
-                        CERTIFIED_NONSPHERE, "genus-zero",
-                        detail=f"genus {genus.fraction_json(rho)}"))
-            if any(s.status == CERTIFIED_NONSPHERE for s in col):
-                singular.append(c)
-            certs.append((c, tuple(col)))
-        verdict = "closed-3-manifold" if not singular else "singular-3-residue"
-        return ManifoldClass(verdict=verdict, dimension=3,
-                             singular_colors=tuple(singular), conditional=False,
-                             certificates=tuple(certs))
-
-    # k >= 5: every residue over 3 colors must be a 2-sphere, equivalently
-    # every hat-residue represents a closed (n-1)-manifold.
-    for triple in itertools.combinations(range(k), 3):
-        for r in core.extract_residues(g, triple):
-            rho, _ = classify_surface(r.graph)
-            if rho != 0:
-                return ManifoldClass(
-                    verdict=NOT_A_MANIFOLD, dimension=n, singular_colors=(),
-                    conditional=False,
-                    certificates=((triple[0], (SphereCertificate(
-                        CERTIFIED_NONSPHERE, "genus-zero",
-                        detail=f"{triple}-residue has genus "
-                               f"{genus.fraction_json(rho)}"),)),))
+    if k >= 5:
+        # every residue over 3 colors must be a 2-sphere, equivalently
+        # every hat-residue represents a closed (n-1)-manifold.
+        for triple in itertools.combinations(range(k), 3):
+            for r in core.extract_residues(g, triple):
+                cert = _surface_certificate(r.graph)
+                if cert.status != CERTIFIED_SPHERE:
+                    return ManifoldClass(
+                        verdict=NOT_A_MANIFOLD, dimension=n, singular_colors=(),
+                        conditional=False, certificates=((triple[0], (replace(
+                            cert, detail=f"{triple}-residue has {cert.detail}"),)),))
     if k > 5:
         for c in g.colors:
             for r in core.extract_residues(g, core.complement_key((c,), k)):
@@ -221,23 +207,23 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
                 if not sub.is_manifold or sub.singular_colors:
                     return ManifoldClass(verdict=NOT_A_MANIFOLD, dimension=n,
                                          singular_colors=(), conditional=False)
+    # hat-residues: surfaces when k = 4, certified recursively above
+    certify = _surface_certificate if k == 4 else sphere_certificate
     singular = []
-    conditional = False
     certs = []
     for c in g.colors:
-        col = []
-        for r in core.extract_residues(g, core.complement_key((c,), k)):
-            cert = sphere_certificate(r.graph)
-            col.append(cert)
-            if cert.status == UNKNOWN:
-                conditional = True
+        col = tuple(certify(r.graph)
+                    for r in core.extract_residues(g, core.complement_key((c,), k)))
         if any(s.status == CERTIFIED_NONSPHERE for s in col):
             singular.append(c)
-        certs.append((c, tuple(col)))
-    verdict = f"closed-{n}-manifold" if not singular else f"singular-{n}-manifold"
-    return ManifoldClass(verdict=verdict, dimension=n,
-                         singular_colors=tuple(singular), conditional=conditional,
-                         certificates=tuple(certs))
+        certs.append((c, col))
+    if not singular:
+        verdict = f"closed-{n}-manifold"
+    else:
+        verdict = "singular-3-residue" if k == 4 else f"singular-{n}-manifold"
+    conditional = any(s.status == UNKNOWN for _, col in certs for s in col)
+    return ManifoldClass(verdict=verdict, dimension=n, singular_colors=tuple(singular),
+                         conditional=conditional, certificates=tuple(certs))
 
 
 def is_crystallization(g: core.ColoredGraph):
@@ -252,6 +238,15 @@ def is_crystallization(g: core.ColoredGraph):
     ok = (mc.is_manifold and len(mc.singular_colors) <= 1
           and all(v == 1 for v in counts.values()))
     return ok, counts
+
+
+def require_crystallization(g: core.ColoredGraph) -> None:
+    """Refuse anything but a 5-colored crystallization, the class the genus
+    identities, the classification and the handle analysis are stated for."""
+    if not (g.n_colors == 5 and is_crystallization(g)[0]):
+        raise StructuralError(
+            f"not a 5-colored crystallization ({g.n_colors} colors, "
+            f"hat-residue counts {core.hat_residue_counts(g)})")
 
 
 def singular_colors(g: core.ColoredGraph) -> tuple[int, ...]:

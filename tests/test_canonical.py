@@ -16,8 +16,8 @@ import pytest
 from gemkit import core, fixtures
 from gemkit.errors import StructuralError
 
-from conftest import (naive_connected_gems, random_augment, random_recolor,
-                      random_relabel)
+from conftest import (fpf_involutions, naive_connected_gems, random_augment,
+                      random_recolor, random_relabel)
 
 FLAVORS = (core.COLOR_PRESERVING, core.UP_TO_COLOR_PERMUTATION)
 
@@ -87,3 +87,17 @@ def test_code_refuses_orders_beyond_two_bytes():
     g = core.ColoredGraph((tuple(v ^ 1 for v in range(p)), cycle))  # one 2-colored cycle
     with pytest.raises(StructuralError, match="65535"):
         core.canonical_code(g)
+
+
+def test_code_memo_is_bounded():
+    # every labelled alternating 8-cycle: 5040 distinct graphs, one code
+    ms = fpf_involutions(8)
+    gems = [g for g in (core.ColoredGraph((a, b)) for a in ms for b in ms
+                        if all(x != y for x, y in zip(a, b)))
+            if core.is_connected(g)]
+    bound = core.canonical_code.cache_info().maxsize
+    assert bound is not None and len(gems) > bound
+    for g in gems:
+        core.canonical_code(g)
+    assert len({core.canonical_code(g) for g in gems[:50]}) == 1
+    assert core.canonical_code.cache_info().currsize <= bound

@@ -102,12 +102,18 @@ def test_bipartite_examples():
 
 
 def test_odd_cycle_witness_is_odd_closed_walk():
-    g = fixtures.projective_plane()
-    cyc = core.odd_cycle(g)
-    assert cyc is not None and len(cyc) % 2 == 1
-    # consecutive vertices joined by some edge
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        assert any(g.matchings[c][a] == b for c in g.colors)
+    rp2 = fixtures.projective_plane()
+    rng = random.Random(17)
+    larger = random_relabel(
+        random_augment(core.connected_sum(rp2, core.connected_sum(rp2, rp2)), rng, 6), rng)
+    assert larger.order >= 20
+    for g in [rp2, larger] + [random_relabel(rp2, random.Random(s)) for s in range(5)]:
+        cyc = core.odd_cycle(g)
+        assert cyc is not None and len(cyc) % 2 == 1
+        # consecutive vertices joined by some edge
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            assert any(g.matchings[c][a] == b for c in g.colors)
+    assert core.odd_cycle(fixtures.torus()) is None
 
 
 def test_bipartition_requires_connected():

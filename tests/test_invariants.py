@@ -120,6 +120,28 @@ def test_presentation_flavor_validation():
     assert invariants.h1_from_presentation(hat) == (0, ())
 
 
+def test_default_singular_pair_holds_both_singular_colors():
+    # neither singular color is 0: the default pair is the two of them
+    g = core.decode_code(
+        "01040100080101010200000003030304000202050106060207070703060404070505050604"
+    ).recolor((2, 3, 0, 1))
+    assert recognition.check_closed_manifold(g).verdict == "singular-3-residue"
+    assert recognition.singular_colors(g) == (2, 3)
+    pres = invariants.pi1_presentation(g, flavor=invariants.SINGULAR)
+    assert pres.colors == (2, 3)
+    assert invariants.pi1_presentation(g).colors == (0, 1)
+
+
+@pytest.mark.parametrize("analysis", [
+    lambda g, eps: invariants.euler_via_genus(g, eps=eps),
+    classification.genus_subgenus_residuals,
+    genus.genus_wrt,
+], ids=["euler_via_genus", "genus_subgenus_residuals", "genus_wrt"])
+def test_cyclic_order_of_wrong_length_is_refused(analysis):
+    with pytest.raises(StructuralError, match="permutation"):
+        analysis(fixtures.cp2(), (0, 1, 2))
+
+
 def test_presentation_text_export():
     pres = invariants.pi1_presentation(fixtures.sigma(5))
     text = pres.to_text()

@@ -55,6 +55,14 @@ def test_presentation_spanning_tree_pinned():
     assert invariants.h1_via_edge_path(g) == (0, ())
 
 
+def singular_pair_gem() -> core.ColoredGraph:
+    """An order-8, 4-colored gem whose singular colors are (2, 3): neither
+    is color 0."""
+    return core.decode_code(
+        "01040100080101010200000003030304000202050106060207070703060404070505050604"
+    ).recolor((2, 3, 0, 1))
+
+
 @pytest.mark.parametrize("command, fixture, code, digest", [
     ("info", fixtures.cp2, 0,
      "9d45ed0ccdcda07e927293ca511f507ce339ae3218227d217a833ff0c3bf6cce"),
@@ -62,10 +70,25 @@ def test_presentation_spanning_tree_pinned():
     ("homology", fixtures.rp3, 2, None),
     ("handles", fixtures.rp3_boundary, 0,
      "6338521710a6df7ea9939931d2f3739abb2d8f30bc1307060468e67fe47d7a3d"),
+    ("homology", fixtures.cp2, 0,
+     "34c7089689f4e6ea3f28f5cb3e958d7f84b0f8157788f9fcacc19ac55bd16cb9"),
+    ("homology", fixtures.rp3_boundary, 0,
+     "e34fbb5393c32dc130660ed5b1ba91255dbd4874bb43ddf0dd5633f2b58c9a0c"),
+    ("homology", fixtures.nonsimply_connected, 0,
+     "81e74067e14872b7621a849f38b83c38a50aafd58a6b0eba0712c49256019b20"),
+    ("classify", fixtures.cp2, 0,
+     "0e51c9fb223113b8a6981dd9cd6c8726b47b8ba78e5c32d2be1e8a2e2fdfaeea"),
+    ("classify", fixtures.rp3_boundary, 0,
+     "e5ccc95a3631d49612ccb957cf3d2df08f10ed6923bbac3264f88f8dbfd443f1"),
+    ("info", fixtures.rp3, 0,
+     "122506295a9cf325f3962fc6a5a67eb61a91d04824dd0940f7f82e238569ac08"),
+    ("info", singular_pair_gem, 0,
+     "5ccadb624da6260959fa68c8372e7bc36e8fa70ccfafe7f12929f4ccbf0d004e"),
 ])
 def test_cli_pinned(tmp_path, command, fixture, code, digest):
     names = {fixtures.cp2: "cp2.gem", fixtures.nonsimply_connected: "ns.gem",
-             fixtures.rp3: "rp3.gem", fixtures.rp3_boundary: "cp2b.gem"}
+             fixtures.rp3: "rp3.gem", fixtures.rp3_boundary: "cp2b.gem",
+             singular_pair_gem: "sing23.gem"}
     path = tmp_path / names[fixture]
     core.save_gem(fixture(), path)
     out, err = io.StringIO(), io.StringIO()
