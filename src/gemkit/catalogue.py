@@ -381,11 +381,12 @@ def _check_filters(filters) -> tuple[str, ...]:
     return filters
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file in the same directory,
-    so a kill at any instant leaves either the old file or the new one."""
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the strings ``chunks`` to ``path`` through a temp file beside
+    it, so a kill or a failure at any instant leaves the old file or the new."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
@@ -435,9 +436,9 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
                or not part_path(k).exists()]
 
     def record_done(key, codes):
-        _write_atomic(part_path(key), json.dumps(sorted(codes)))
+        _write_atomic(part_path(key), [json.dumps(sorted(codes))])
         meta["shards"][f"{key[0]}:{key[1]}"] = "done"
-        _write_atomic(meta_path, json.dumps(meta, indent=1, sort_keys=True))
+        _write_atomic(meta_path, [json.dumps(meta, indent=1, sort_keys=True)])
 
     if jobs <= 1:
         for key in pending:
@@ -452,12 +453,10 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
     for key in keys:
         codes.update(json.loads(part_path(key).read_text(encoding="utf-8")))
     records = [build_record(c) for c in sorted(codes)]
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json_line() + "\n")
+    _write_atomic(path, (rec.to_json_line() + "\n" for rec in records))
     meta["completed"] = datetime.now(timezone.utc).isoformat()
     meta["records"] = len(records)
-    _write_atomic(meta_path, json.dumps(meta, indent=1, sort_keys=True))
+    _write_atomic(meta_path, [json.dumps(meta, indent=1, sort_keys=True)])
     for key in keys:
         part_path(key).unlink(missing_ok=True)
     try:
@@ -583,8 +582,8 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
     run("bounds", lambda: classification.check_bounds(g))
 
     def chk_subgenus_target():
-        sing = recognition.singular_colors(g)
-        lower = sorted(set(range(5)) - set(sing))[:4] if sing else list(range(4))
+        top = recognition.top_color(g)
+        lower = [c for c in range(5) if c != top]
         hit = False
         for j, k in itertools.combinations(lower, 2):
             if not handles.pair_condition(g, j, k):

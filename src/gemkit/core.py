@@ -272,15 +272,15 @@ def extract_residues(g: ColoredGraph, key) -> list[Residue]:
     groups: list[list[int]] = [[] for _ in range(count)]
     for v, lab in enumerate(labels):
         groups[lab].append(v)
-    return [Residue(key=key, vertices=tuple(verts), graph=residue_graph(g, key, verts),
-                    vertex_map=tuple(verts)) for verts in groups]
+    return [Residue(key=key, vertices=tuple(verts), vertex_map=tuple(verts),
+                    graph=residue_graph(g.matchings, key, verts)) for verts in groups]
 
 
-def residue_graph(g: ColoredGraph, key: tuple[int, ...], verts) -> ColoredGraph:
-    """The ``key``-residue on vertex set ``verts`` as a standalone gem:
-    vertex i is verts[i], color j is key[j]."""
+def residue_graph(rows, key, verts) -> ColoredGraph:
+    """The ``key``-residue of the matchings ``rows`` on vertex set
+    ``verts`` as a standalone gem: vertex i is verts[i], color j is key[j]."""
     index = {v: i for i, v in enumerate(verts)}
-    return ColoredGraph(tuple(tuple(index[g.matchings[c][v]] for v in verts) for c in key))
+    return ColoredGraph(tuple(tuple(index[rows[c][v]] for v in verts) for c in key))
 
 
 def is_connected(g: ColoredGraph) -> bool:
@@ -497,7 +497,10 @@ def connected_sum(g1: ColoredGraph, g2: ColoredGraph, v1: int = 0,
 
     When both inputs are bipartite and v2 is not given, v2 is chosen in the
     class opposite to v1 (classes read off the canonical bipartitions), the
-    orientable-case convention; the result is then bipartite.
+    orientable-case convention; the result is then bipartite.  Orientation
+    is not tracked beyond that: repeated ``connected_sum(g, cp2)`` mixes
+    CP2 and -CP2 summands (cp2#10 built so has signature +-2, not +-10),
+    which beta2 and the genus cannot tell apart.
     """
     if g1.n_colors != g2.n_colors:
         raise StructuralError("connected sum needs equal color counts")
@@ -572,18 +575,46 @@ def _joining_colors(g: ColoredGraph, u: int, v: int) -> tuple[int, ...]:
     return tuple(c for c in g.colors if g.matchings[c][u] == v)
 
 
-def _dipole_properness(g: ColoredGraph, u: int, v: int,
-                       colors: tuple[int, ...]) -> bool | None:
-    # Proper when at least one of the two complementary residues at u, v
-    # represents a sphere; certification delegated to recognition.
+def _residues_split(rows, comp, u: int, v: int) -> bool:
+    """Whether u and v lie in distinct ``comp``-residues of the matchings
+    ``rows``, searched breadth-first from both in turn: the search stops
+    when they meet or as soon as the smaller one is spent."""
+    side = {u: 0, v: 1}
+    queues = ([u], [v])
+    for i in itertools.count():
+        for s, queue in enumerate(queues):
+            if i == len(queue):
+                return True
+            x = queue[i]
+            for c in comp:
+                y = rows[c][x]
+                t = side.get(y)
+                if t is None:
+                    side[y] = s
+                    queue.append(y)
+                elif t != s:
+                    return False
+
+
+def _residue_at(rows, comp, x: int) -> ColoredGraph:
+    """The ``comp``-residue of the matchings ``rows`` at x as a standalone
+    gem, its vertices in increasing order (see `residue_graph`)."""
+    verts, seen = [x], {x}
+    for y in verts:
+        for c in comp:
+            z = rows[c][y]
+            if z not in seen:
+                seen.add(z)
+                verts.append(z)
+    return residue_graph(rows, comp, sorted(verts))
+
+
+def _dipole_properness(rows, comp, u: int, v: int) -> bool | None:
+    # Proper when at least one of the two complementary residues, at u and
+    # at v, represents a sphere; certification delegated to recognition.
     from . import recognition
 
-    comp = complement_key(colors, g.n_colors)
-    labels, _ = residue_labels(g, comp)
-    certs = []
-    for root in (u, v):
-        verts = [w for w in range(g.order) if labels[w] == labels[root]]
-        certs.append(recognition.sphere_certificate(residue_graph(g, comp, verts)))
+    certs = [recognition.sphere_certificate(_residue_at(rows, comp, x)) for x in (u, v)]
     if any(c.status == recognition.CERTIFIED_SPHERE for c in certs):
         return True
     if all(c.status == recognition.CERTIFIED_NONSPHERE for c in certs):
@@ -612,11 +643,11 @@ def find_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
             colors = _joining_colors(g, u, v)
             if not 1 <= len(colors) <= k - 1:
                 continue
-            labels, _ = residue_labels(g, complement_key(colors, k))
-            if labels[u] == labels[v]:
+            comp = complement_key(colors, k)
+            if not _residues_split(g.matchings, comp, u, v):
                 continue
             out.append(Dipole(vertices=(u, v), colors=colors,
-                              proper=_dipole_properness(g, u, v, colors)))
+                              proper=_dipole_properness(g.matchings, comp, u, v)))
     out.sort(key=lambda d: (d.vertices, d.colors))
     return tuple(out)
 
@@ -673,24 +704,17 @@ def eliminate_dipole(g: ColoredGraph, vertices, colors=None) -> ColoredGraph:
     if labels[u] == labels[v]:
         raise StructuralError(f"vertices {u},{v} lie in the same complementary residue")
 
-    remap = {}
-    for w in range(g.order):
-        if w not in (u, v):
-            remap[w] = len(remap)
-    cset = set(joining)
-    rows = []
-    for c in g.colors:
-        row = [0] * (g.order - 2)
-        for a, b in enumerate(g.matchings[c]):
-            if a in (u, v) or b in (u, v):
-                continue
-            row[remap[a]] = remap[b]
-        if c not in cset:
-            a = remap[g.matchings[c][u]]
-            b = remap[g.matchings[c][v]]
-            row[a], row[b] = b, a
-        rows.append(tuple(row))
-    return ColoredGraph(tuple(rows))
+    rows = [list(row) for row in g.matchings]
+    _splice_out(rows, u, v)
+    return residue_graph(rows, g.colors, [w for w in range(g.order) if w not in (u, v)])
+
+
+def _splice_out(rows, u: int, v: int) -> None:
+    """Rejoin in place, color by color, the edges of the matchings ``rows``
+    hanging at u and v; no other vertex is matched to u or v after."""
+    for row in rows:  # a color joining u and v maps them to each other: no-op
+        a, b = row[u], row[v]
+        row[a], row[b] = b, a
 
 
 def _needs_certification(g: ColoredGraph) -> bool:
@@ -703,48 +727,54 @@ def _needs_certification(g: ColoredGraph) -> bool:
     return mc.conditional or mc.verdict != f"closed-{g.n_colors - 1}-manifold"
 
 
-def _top_dipole(g: ColoredGraph, certify: bool):
-    """``((u, v), colors)`` of the dipole with the greatest (v, u), u < v,
-    that is proper when ``certify`` is set, or None.
-
-    Pairs are scanned from the top vertex down, so nothing below the
-    answer is examined.
-    """
-    k = g.n_colors
-    for v in range(g.order - 1, 0, -1):
-        for u in sorted({row[v] for row in g.matchings if row[v] < v}, reverse=True):
-            colors = _joining_colors(g, u, v)
-            if len(colors) == k:
-                continue
-            labels, _ = residue_labels(g, complement_key(colors, k))
-            if labels[u] != labels[v] and (
-                    not certify or _dipole_properness(g, u, v, colors)):
-                return (u, v), colors
-    return None
-
-
 def reduce(g: ColoredGraph) -> ColoredGraph:
     """Greedily eliminate proper dipoles until none are left.
 
     Dipoles flagged improper or unknown are never eliminated.  The proper
     dipole (u, v), u < v, with the greatest (v, u) goes first, so freshly
-    added dipoles are unwound in reverse insertion order.
+    added dipoles are unwound in reverse insertion order.  Returns g itself
+    when nothing is eliminated.
+
+    One mutable copy of the matchings is reduced in place: u and v are
+    spliced out and marked dead, and the survivors keep their ids until
+    one renumbering, in order, at the end, so the greatest (v, u) picks
+    the same dipoles.  The residue test walks the complementary residues
+    at u and at v in turn (about twice the smaller one).
 
     Certification is skipped, decided once from the input, when every
     dipole is known to be proper: over at most 3 colors every
     complementary residue has at most 2 colors, so it is a sphere; and
     every residue of a gem certified (unconditionally) a closed manifold is
     a sphere.  Eliminating a proper dipole keeps the manifold, so this
-    holds at every later step.  Otherwise each candidate is certified
-    before elimination.
+    holds at every later step.  Otherwise both complementary residues of
+    each candidate are certified before elimination.
     """
     require_connected(g)
     certify = _needs_certification(g)
+    rows = [list(row) for row in g.matchings]
+    alive = [True] * g.order
+
+    def candidates():
+        # (u, v, colors not joining them), u < v, greatest (v, u) first
+        for v in range(g.order - 1, 0, -1):
+            if alive[v]:
+                for u in sorted({row[v] for row in rows if row[v] < v}, reverse=True):
+                    comp = tuple(c for c in g.colors if rows[c][u] != v)
+                    if comp:
+                        yield u, v, comp
+
     while True:
-        top = _top_dipole(g, certify)
-        if top is None:
-            return g
-        g = eliminate_dipole(g, *top)
+        for u, v, comp in candidates():
+            if _residues_split(rows, comp, u, v) and (
+                    not certify or _dipole_properness(rows, comp, u, v)):
+                break
+        else:
+            break
+        _splice_out(rows, u, v)
+        alive[u] = alive[v] = False
+    if all(alive):
+        return g
+    return residue_graph(rows, g.colors, [w for w in range(g.order) if alive[w]])
 
 
 # ---------------------------------------------------------------------------

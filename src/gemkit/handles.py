@@ -69,26 +69,26 @@ def find_hypothesis_witnesses(g: core.ColoredGraph) -> tuple[HypothesisWitness, 
     An empty result is a valid answer.
     """
     recognition.require_crystallization(g)
-    sing = recognition.singular_colors(g)
-    s = sing[0] if sing else None
+    boundary = bool(recognition.singular_colors(g))
+    top = recognition.top_color(g)
     out = []
     for pivot in range(5):
         for i, j in itertools.combinations(sorted(set(range(5)) - {pivot}), 2):
             if not (pair_condition(g, i, pivot) and pair_condition(g, j, pivot)):
                 continue
             free = tuple(sorted(set(range(5)) - {i, j, pivot}))
-            if s is not None and s not in free:
+            if boundary and top not in free:
                 continue  # boundary case: pattern colors must be non-singular
-            last = s if s is not None else max(free)
+            last = top if top in free else max(free)
             r = free[0] if free[1] == last else free[1]
             eps = (i, j, r, pivot, last)
             out.append(HypothesisWitness(
                 kind=NO_ONE_HANDLES, pair=(i, j), pivot=pivot, free_pair=free,
-                boundary_case=s is not None, permutation=eps))
+                boundary_case=boundary, permutation=eps))
             if pair_condition(g, *free):
                 out.append(HypothesisWitness(
                     kind=SPECIAL, pair=(i, j), pivot=pivot, free_pair=free,
-                    boundary_case=s is not None, permutation=eps))
+                    boundary_case=boundary, permutation=eps))
     return tuple(out)
 
 
@@ -169,8 +169,7 @@ def subgenus_target(g: core.ColoredGraph, j: int, k: int, s: int):
     (value, permutation).
     """
     recognition.require_crystallization(g)
-    sing = recognition.singular_colors(g)
-    top = sing[0] if sing else 4
+    top = recognition.top_color(g)
     lower = sorted(set(range(5)) - {top})
     if j == k or j not in lower or k not in lower:
         raise StructuralError(f"j, k must be distinct non-singular colors, got {j}, {k}")

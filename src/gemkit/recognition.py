@@ -253,22 +253,24 @@ def singular_colors(g: core.ColoredGraph) -> tuple[int, ...]:
     return check_closed_manifold(g).singular_colors
 
 
-def normalize_singular_color(g: core.ColoredGraph):
-    """Recolor so the unique singular color (if any) becomes the top color.
-
-    Returns (graph, color_permutation).  Identity when the gem is closed or
-    already normalized; refuses on two or more singular colors, which fall
-    outside the compact empty-or-connected-boundary class.
-    """
+def top_color(g: core.ColoredGraph) -> int:
+    """The top color of g: its singular color, else its greatest color (4
+    on a 5-colored crystallization); two or more are refused."""
     sing = singular_colors(g)
-    k = g.n_colors
     if len(sing) > 1:
         raise StructuralError(
             f"{len(sing)} singular colors: not a compact manifold with "
             "empty or connected boundary")
-    if not sing or sing[0] == k - 1:
+    return sing[0] if sing else g.n_colors - 1
+
+
+def normalize_singular_color(g: core.ColoredGraph):
+    """Recolor so the top color becomes the greatest.  Returns (graph,
+    color_permutation), the identity when g is closed or normalized."""
+    k = g.n_colors
+    s = top_color(g)
+    if s == k - 1:
         return g, tuple(range(k))
-    s = sing[0]
     perm = list(range(k))
     perm[s], perm[k - 1] = perm[k - 1], perm[s]
     return g.recolor(perm), tuple(perm)

@@ -132,6 +132,26 @@ def test_resume_reruns_done_shard_with_missing_part(tmp_path):
     assert not list(tmp_path.glob("**/*.tmp"))
 
 
+def test_failed_write_leaves_existing_catalogue_unchanged(tmp_path, monkeypatch):
+    path = tmp_path / "cat.jsonl"
+    catalogue.generate_catalogue(path, n_colors=3, max_order=6, jobs=1)
+    before = path.read_bytes()
+    assert before.count(b"\n") >= 2
+    to_json_line = catalogue.CatalogueRecord.to_json_line
+    written = []
+
+    def fail_on_second(rec):
+        written.append(rec)
+        if len(written) == 2:
+            raise RuntimeError("killed while writing")
+        return to_json_line(rec)
+
+    monkeypatch.setattr(catalogue.CatalogueRecord, "to_json_line", fail_on_second)
+    with pytest.raises(RuntimeError):
+        catalogue.generate_catalogue(path, n_colors=3, max_order=6, jobs=1)
+    assert path.read_bytes() == before
+
+
 def test_resume_rejects_changed_parameters(tmp_path):
     out = tmp_path / "cat.jsonl"
     catalogue.generate_catalogue(out, n_colors=3, max_order=4)

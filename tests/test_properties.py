@@ -110,3 +110,54 @@ def test_verify_exit_code_and_diagnostic(tmp_path_factory, content):
         assert err.getvalue() == ""
     else:
         assert "error" in json.loads(err.getvalue())
+
+
+ANALYSES = ("info", "genus", "classify", "homology", "handles", "reduce")
+SMALL_FIXTURES = (fixtures.sigma(5), fixtures.sigma(3), fixtures.torus(),
+                  fixtures.projective_plane(), fixtures.rp3(), fixtures.cp2(),
+                  fixtures.rp3_boundary(), fixtures.nonsimply_connected(),
+                  fixtures.torus_times_colors())
+
+
+@st.composite
+def small_gem_texts(draw):
+    """`.gem` text of at most 5 colors and order at most 12: random
+    matchings (often disconnected, singular or no manifold at all), a
+    fixture under one added dipole, or malformed text."""
+    kind = draw(st.sampled_from(["random", "fixture", "malformed"]))
+    if kind == "malformed":
+        return draw(gem_texts())
+    if kind == "fixture":
+        g = draw(st.sampled_from(SMALL_FIXTURES))
+        if g.order <= 10 and draw(st.booleans()):
+            colors = draw(st.sets(st.integers(0, g.n_colors - 1), min_size=1,
+                                  max_size=g.n_colors - 1))
+            g = core.add_dipole(g, draw(st.integers(0, g.order - 1)), colors)
+        return core.format_gem(g)
+    k, p = draw(st.integers(1, 5)), 2 * draw(st.integers(1, 6))
+    rows = []
+    for _ in range(k):
+        perm = draw(st.permutations(range(p)))
+        row = [0] * p
+        for a, b in zip(perm[::2], perm[1::2]):
+            row[a], row[b] = b, a
+        rows.append(row)
+    return core.format_gem(core.ColoredGraph(tuple(map(tuple, rows))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_gem_texts())
+def test_analysis_exit_code_and_diagnostic(tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("analyse")
+    path = folder / "g.gem"
+    path.write_text(text, encoding="utf-8")
+    for cmd in ANALYSES:
+        argv = [cmd, str(path)] + ([str(folder / "out.gem")] if cmd == "reduce" else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        assert rc in (0, 1, 2, 3)
+        if rc:
+            diagnostic = json.loads(err.getvalue())["error"]
+            # a traceback caught by the last-resort handler is a bug, not an answer
+            assert diagnostic["type"] != "unexpected-error", (cmd, text, diagnostic)

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from gemkit import core, fixtures, recognition
+from gemkit import core, fixtures, handles, recognition
 from gemkit.errors import StructuralError
 
 from conftest import naive_connected_gems, random_augment, random_relabel
@@ -148,6 +149,29 @@ def test_normalize_singular_color():
     normed, perm = recognition.normalize_singular_color(moved)
     assert recognition.singular_colors(normed) == (4,)
     assert core.canonical_code(normed) == core.canonical_code(bdy)
+
+
+def test_top_color_is_the_singular_color_else_the_greatest():
+    bdy = fixtures.rp3_boundary()
+    assert recognition.top_color(fixtures.cp2()) == 4
+    assert recognition.top_color(bdy) == 4
+    # move the singular color to 1: the handle rules follow it there
+    swap = [0, 4, 2, 3, 1]
+    moved = bdy.recolor(swap)
+    assert recognition.singular_colors(moved) == (1,)
+    assert recognition.top_color(moved) == 1
+    witnesses = handles.find_hypothesis_witnesses(moved)
+    assert len(witnesses) == len(handles.find_hypothesis_witnesses(bdy)) > 0
+    assert all(w.boundary_case and 1 in w.free_pair and w.permutation[-1] == 1
+               for w in witnesses)
+    j, k = next((j, k) for j, k in itertools.combinations((0, 2, 3, 4), 2)
+                if handles.pair_condition(moved, j, k))
+    s = next(c for c in (0, 2, 3, 4) if c not in (j, k))
+    _, eps = handles.subgenus_target(moved, j, k, s)
+    assert eps[-1] == 1
+    r = fixtures.rp3()  # padded with a copy of a matching: two singular colors
+    with pytest.raises(StructuralError):
+        recognition.top_color(core.ColoredGraph(r.matchings + (r.matchings[3],)))
 
 
 def test_two_singular_colors_refused_by_normalization():

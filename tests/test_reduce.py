@@ -1,10 +1,11 @@
 """Dipole reduction against a reference: the rescan-everything `reduce`.
 
 The reference lists every dipole with ``find_dipoles`` after each
-elimination, certifying each one, and eliminates the greatest proper one.
-The library's `reduce` skips certification on certified closed manifolds
-and stops scanning at the first dipole it may eliminate; its output must
-be byte-identical.
+elimination, certifying each one, and eliminates the greatest proper one
+on a freshly built graph.  The library's `reduce` works on one mutable
+copy with local residue tests, skips certification on certified closed
+manifolds and stops scanning at the first dipole it may eliminate; its
+output must be byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 
 import pytest
 
-from gemkit import core, fixtures
+from gemkit import core, fixtures, recognition
 
 from conftest import random_augment, random_relabel
 
@@ -34,13 +35,62 @@ BASES = {"cp2": fixtures.cp2, "rp3": fixtures.rp3, "sigma5": lambda: fixtures.si
          "projective_plane": fixtures.projective_plane}
 
 
-@pytest.mark.parametrize("seed, name", enumerate(BASES))
+def cp2_sum(k: int, rng: random.Random) -> core.ColoredGraph:
+    """cp2#k, built by repeated connected sums with cp2, relabelled."""
+    g = fixtures.cp2()
+    for _ in range(k - 1):
+        g = core.connected_sum(g, fixtures.cp2())
+    return random_relabel(g, rng)
+
+
+def oracle_inputs(seed: int, name: str) -> list[core.ColoredGraph]:
+    rng = random.Random(100 + seed)
+    if name in BASES:
+        return [random_relabel(random_augment(BASES[name](), rng, rng.randint(5, 12)), rng)
+                for _ in range(2)]
+    # the hat-residues sphere recognition reduces: 4-colored S3 gems whose
+    # every dipole is a 2-dipole
+    g = cp2_sum(int(name.removeprefix("cp2#").removesuffix("-hats")), rng)
+    return [r.graph for c in g.colors
+            for r in core.extract_residues(g, core.complement_key((c,), g.n_colors))]
+
+
+CASES = list(enumerate([*BASES, "cp2#2-hats", "cp2#3-hats", "cp2#5-hats"]))
+
+
+@pytest.mark.parametrize("seed, name", CASES)
 def test_reduce_matches_oracle(seed, name):
     # closed bases take the skipping path, the others certify each dipole
-    rng = random.Random(100 + seed)
-    for _ in range(2):
-        g = random_relabel(random_augment(BASES[name](), rng, rng.randint(5, 12)), rng)
+    for g in oracle_inputs(seed, name):
         assert core.format_gem(core.reduce(g)) == core.format_gem(reduce_oracle(g))
+
+
+@pytest.mark.parametrize("seed, name", CASES)
+def test_certifying_reduce_matches_oracle(monkeypatch, seed, name):
+    monkeypatch.setattr(core, "_needs_certification", lambda g: True)
+    for g in oracle_inputs(seed, name):
+        assert core.format_gem(core.reduce(g)) == core.format_gem(reduce_oracle(g))
+
+
+def test_reduce_returns_its_input_when_nothing_is_eliminated():
+    g = fixtures.cp2()
+    assert not [d for d in core.find_dipoles(g) if d.proper]
+    assert core.reduce(g) is g
+
+
+def memo_entries_after_check(k: int) -> int:
+    """`residue_labels` entries left by one manifold check of cp2#k, every
+    memo on its path emptied first."""
+    g = cp2_sum(k, random.Random(k))
+    for memo in (core.residue_labels, core.bipartition,
+                 recognition.check_closed_manifold, recognition.sphere_certificate):
+        memo.cache_clear()
+    assert recognition.check_closed_manifold(g).verdict == "closed-4-manifold"
+    return core.residue_labels.cache_info().currsize
+
+
+def test_recognition_memo_does_not_grow_with_the_sum():
+    assert memo_entries_after_check(10) == memo_entries_after_check(20) > 0
 
 
 class CertificationRequested(Exception):
