@@ -385,9 +385,13 @@ def _write_atomic(path: Path, chunks) -> None:
     """Write the strings ``chunks`` to ``path`` through a temp file beside
     it, so a kill or a failure at any instant leaves the old file or the new."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def generate_catalogue(path, n_colors: int, max_order: int, filters=(),

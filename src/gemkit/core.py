@@ -576,11 +576,9 @@ def _joining_colors(g: ColoredGraph, u: int, v: int) -> tuple[int, ...]:
 
 
 def _residues_split(rows, comp, u: int, v: int) -> bool:
-    """Whether u and v lie in distinct ``comp``-residues of the matchings
-    ``rows``, searched breadth-first from both in turn: the search stops
-    when they meet or as soon as the smaller one is spent."""
-    side = {u: 0, v: 1}
-    queues = ([u], [v])
+    """Whether u and v lie in distinct ``comp``-residues of ``rows``: a
+    search from both in turn, ended when they meet or the smaller is spent."""
+    side, queues = {u: 0, v: 1}, ([u], [v])
     for i in itertools.count():
         for s, queue in enumerate(queues):
             if i == len(queue):
@@ -597,8 +595,7 @@ def _residues_split(rows, comp, u: int, v: int) -> bool:
 
 
 def _residue_at(rows, comp, x: int) -> ColoredGraph:
-    """The ``comp``-residue of the matchings ``rows`` at x as a standalone
-    gem, its vertices in increasing order (see `residue_graph`)."""
+    """The ``comp``-residue of ``rows`` at x, vertices in increasing order."""
     verts, seen = [x], {x}
     for y in verts:
         for c in comp:
@@ -644,7 +641,8 @@ def find_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
             if not 1 <= len(colors) <= k - 1:
                 continue
             comp = complement_key(colors, k)
-            if not _residues_split(g.matchings, comp, u, v):
+            labels, _ = residue_labels(g, comp)
+            if labels[u] == labels[v]:
                 continue
             out.append(Dipole(vertices=(u, v), colors=colors,
                               proper=_dipole_properness(g.matchings, comp, u, v)))
@@ -710,8 +708,7 @@ def eliminate_dipole(g: ColoredGraph, vertices, colors=None) -> ColoredGraph:
 
 
 def _splice_out(rows, u: int, v: int) -> None:
-    """Rejoin in place, color by color, the edges of the matchings ``rows``
-    hanging at u and v; no other vertex is matched to u or v after."""
+    """Rejoin in place, color by color, the edges of ``rows`` at u and v."""
     for row in rows:  # a color joining u and v maps them to each other: no-op
         a, b = row[u], row[v]
         row[a], row[b] = b, a
@@ -772,9 +769,8 @@ def reduce(g: ColoredGraph) -> ColoredGraph:
             break
         _splice_out(rows, u, v)
         alive[u] = alive[v] = False
-    if all(alive):
-        return g
-    return residue_graph(rows, g.colors, [w for w in range(g.order) if alive[w]])
+    return g if all(alive) else residue_graph(
+        rows, g.colors, [w for w in range(g.order) if alive[w]])
 
 
 # ---------------------------------------------------------------------------

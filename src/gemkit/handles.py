@@ -69,26 +69,26 @@ def find_hypothesis_witnesses(g: core.ColoredGraph) -> tuple[HypothesisWitness, 
     An empty result is a valid answer.
     """
     recognition.require_crystallization(g)
-    boundary = bool(recognition.singular_colors(g))
-    top = recognition.top_color(g)
+    sing = recognition.singular_colors(g)
+    s = sing[0] if sing else None
     out = []
     for pivot in range(5):
         for i, j in itertools.combinations(sorted(set(range(5)) - {pivot}), 2):
             if not (pair_condition(g, i, pivot) and pair_condition(g, j, pivot)):
                 continue
             free = tuple(sorted(set(range(5)) - {i, j, pivot}))
-            if boundary and top not in free:
+            if s is not None and s not in free:
                 continue  # boundary case: pattern colors must be non-singular
-            last = top if top in free else max(free)
+            last = s if s is not None else max(free)
             r = free[0] if free[1] == last else free[1]
             eps = (i, j, r, pivot, last)
             out.append(HypothesisWitness(
                 kind=NO_ONE_HANDLES, pair=(i, j), pivot=pivot, free_pair=free,
-                boundary_case=boundary, permutation=eps))
+                boundary_case=s is not None, permutation=eps))
             if pair_condition(g, *free):
                 out.append(HypothesisWitness(
                     kind=SPECIAL, pair=(i, j), pivot=pivot, free_pair=free,
-                    boundary_case=boundary, permutation=eps))
+                    boundary_case=s is not None, permutation=eps))
     return tuple(out)
 
 

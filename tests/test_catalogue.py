@@ -150,6 +150,7 @@ def test_failed_write_leaves_existing_catalogue_unchanged(tmp_path, monkeypatch)
     with pytest.raises(RuntimeError):
         catalogue.generate_catalogue(path, n_colors=3, max_order=6, jobs=1)
     assert path.read_bytes() == before
+    assert not list(tmp_path.glob("**/*.tmp"))
 
 
 def test_resume_rejects_changed_parameters(tmp_path):

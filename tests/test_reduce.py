@@ -1,11 +1,15 @@
 """Dipole reduction against a reference: the rescan-everything `reduce`.
 
-The reference lists every dipole with ``find_dipoles`` after each
-elimination, certifying each one, and eliminates the greatest proper one
-on a freshly built graph.  The library's `reduce` works on one mutable
-copy with local residue tests, skips certification on certified closed
-manifolds and stops scanning at the first dipole it may eliminate; its
-output must be byte-identical.
+The reference is built only from whole-gem residue labellings
+(`residue_labels`) and a fresh rebuild per elimination: after each
+elimination it lists every dipole, certifies both complementary residues
+of each, and eliminates the greatest proper one.  It shares no residue
+walk, residue extraction or splice with the library.  The library's
+`reduce` works on one mutable copy with local residue tests, skips
+certification on certified closed manifolds and stops scanning at the
+first dipole it may eliminate; its output must be byte-identical.
+`find_dipoles` and `eliminate_dipole` are checked against the same
+reference.
 """
 
 from __future__ import annotations
@@ -19,13 +23,54 @@ from gemkit import core, fixtures, recognition
 from conftest import random_augment, random_relabel
 
 
+def reference_residue(g, comp, labels, x) -> core.ColoredGraph:
+    verts = [w for w in range(g.order) if labels[w] == labels[x]]
+    index = {w: i for i, w in enumerate(verts)}
+    return core.ColoredGraph(tuple(tuple(index[g.matchings[c][w]] for w in verts)
+                                   for c in comp))
+
+
+def reference_dipoles(g: core.ColoredGraph):
+    """Every dipole of g as ((u, v), colors, proper), u < v; proper when a
+    complementary residue at u or at v is certified a sphere."""
+    out = []
+    for v in range(g.order):
+        for u in range(v):
+            colors = tuple(c for c in g.colors if g.matchings[c][u] == v)
+            if not 1 <= len(colors) < g.n_colors:
+                continue
+            comp = tuple(c for c in g.colors if c not in colors)
+            labels, _ = core.residue_labels(g, comp)
+            if labels[u] == labels[v]:
+                continue
+            proper = any(recognition.sphere_certificate(reference_residue(g, comp, labels, x))
+                         .status == recognition.CERTIFIED_SPHERE for x in (u, v))
+            out.append(((u, v), colors, proper))
+    return out
+
+
+def reference_eliminate(g: core.ColoredGraph, u: int, v: int, colors) -> core.ColoredGraph:
+    remap = {w: i for i, w in enumerate(w for w in range(g.order) if w not in (u, v))}
+    rows = []
+    for c in g.colors:
+        row = [0] * (g.order - 2)
+        for a, b in enumerate(g.matchings[c]):
+            if a not in (u, v) and b not in (u, v):
+                row[remap[a]] = remap[b]
+        if c not in colors:
+            a, b = remap[g.matchings[c][u]], remap[g.matchings[c][v]]
+            row[a], row[b] = b, a
+        rows.append(tuple(row))
+    return core.ColoredGraph(tuple(rows))
+
+
 def reduce_oracle(g: core.ColoredGraph) -> core.ColoredGraph:
     while True:
-        proper = [d for d in core.find_dipoles(g) if d.proper]
+        proper = [(uv, colors) for uv, colors, ok in reference_dipoles(g) if ok]
         if not proper:
             return g
-        d = max(proper, key=lambda d: (d.vertices[1], d.vertices[0], d.colors))
-        g = core.eliminate_dipole(g, d.vertices, d.colors)
+        (u, v), colors = max(proper, key=lambda d: (d[0][1], d[0][0], d[1]))
+        g = reference_eliminate(g, u, v, colors)
 
 
 BASES = {"cp2": fixtures.cp2, "rp3": fixtures.rp3, "sigma5": lambda: fixtures.sigma(5),
@@ -70,6 +115,18 @@ def test_certifying_reduce_matches_oracle(monkeypatch, seed, name):
     monkeypatch.setattr(core, "_needs_certification", lambda g: True)
     for g in oracle_inputs(seed, name):
         assert core.format_gem(core.reduce(g)) == core.format_gem(reduce_oracle(g))
+
+
+@pytest.mark.parametrize("seed, name", CASES)
+def test_find_and_eliminate_dipoles_match_reference(seed, name):
+    g = oracle_inputs(seed, name)[0]
+    dipoles = reference_dipoles(g)
+    assert dipoles
+    assert ([(d.vertices, d.colors, d.proper is True) for d in core.find_dipoles(g)]
+            == sorted(dipoles))
+    for (u, v), colors, _ in dipoles:
+        assert (core.format_gem(core.eliminate_dipole(g, (u, v), colors))
+                == core.format_gem(reference_eliminate(g, u, v, colors)))
 
 
 def test_reduce_returns_its_input_when_nothing_is_eliminated():
