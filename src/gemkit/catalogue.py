@@ -1,17 +1,29 @@
 """Exhaustive enumeration of connected gems up to isomorphism, with
 filtering, JSONL persistence, checkpoint/resume and a corpus verifier.
 
-Search scheme: every gem can be vertex-relabeled so color 0 is the standard
-matching (0 1)(2 3)...; the leftover freedom is the stabilizer of that
-matching (block permutations times in-block swaps).  Pick as color 1 the
-matching whose stabilizer-orbit minimum is smallest over all colors - those
-minima depend only on the cycle partition of the two matchings, so there is
-one canonical second matching per partition of p/2 - then sort the
-remaining colors.  Every isomorphism class therefore appears among the
-tuples (std, rep, m_2 <= ... <= m_n) with rep <= m_i, and duplicates are
-removed by canonical code.  Partitions shard the work: shards share
-nothing, so workers can run in parallel and a single merger dedups, sorts
-and writes.
+Search scheme: every gem can be vertex-relabeled so any one of its colors
+is the standard matching (0 1)(2 3)...; the leftover freedom is the
+stabilizer of that matching (block permutations times in-block swaps).
+The orbits of a second matching under it are the partitions of p/2 into
+the lengths of the two matchings' bicolored cycles, and each orbit has one
+least member: the shard keys.  The rank of a color pair is the index of
+its partition's key.
+
+Pair rank: a gem belongs to the shard of its least-ranked color pair, with
+that pair as colors 0 and 1 at their shard key, and the remaining colors
+sorted.  A shard walks only matchings that rank at least the shard with
+each color already chosen.
+
+Orbit minimum: H, the vertex permutations fixing colors 0 and 1, maps
+those matchings onto themselves and preserves every rank.  Its orbits are
+found once per shard by union-find over generators (rotation and
+reflection of each bicolored cycle, swaps of equal cycles); color 2 must be
+the least of its orbit, and no later color's orbit may reach below color 2.
+The least H-image of a labeling passes both tests, so each isomorphism
+class lies in exactly one shard.  Shards share nothing: workers run in
+parallel, and a single merger takes their union, sorts and writes.
+Labellings of one class still meet within a shard, so duplicates there are
+removed by canonical code.
 
 Filters are isomorphism-invariant, so they commute with deduplication; the
 cheap ones run on raw matchings before any code is computed.
@@ -66,62 +78,117 @@ def standard_matching(p: int) -> tuple[int, ...]:
     return tuple(v + 1 if v % 2 == 0 else v - 1 for v in range(p))
 
 
-def _partitions(n: int):
-    """Partitions of n as non-increasing tuples."""
+def _partitions(n: int, least: int = 1):
+    """Partitions of n into parts >= least, as non-decreasing tuples."""
     if n == 0:
         yield ()
         return
-    for first in range(n, 0, -1):
-        for rest in _partitions(n - first):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
+    for first in range(least, n + 1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def _stabilizer(p: int) -> tuple[tuple[int, ...], ...]:
-    """Vertex permutations preserving the standard matching."""
-    half = p // 2
-    out = []
-    for blocks in itertools.permutations(range(half)):
-        for flips in itertools.product((0, 1), repeat=half):
-            perm = [0] * p
-            for b in range(half):
-                for s in (0, 1):
-                    perm[2 * b + s] = 2 * blocks[b] + (s ^ flips[b])
-            out.append(tuple(perm))
-    return tuple(out)
+def _cycle_layout(length: int) -> list[int]:
+    """The least matching of 0..2*length-1 that closes the standard pairs
+    into one alternating cycle: pairs (0 2), (1 4), (3 6), ..., and last
+    (2*length-3, 2*length-1)."""
+    if length == 1:
+        return [1, 0]
+    pairs = [(0, 2)] + [(2 * i - 1, 2 * i + 2) for i in range(1, length - 1)]
+    pairs.append((2 * length - 3, 2 * length - 1))
+    m = [0] * (2 * length)
+    for a, b in pairs:
+        m[a], m[b] = b, a
+    return m
 
 
-def _orbit_min(matching: tuple[int, ...], p: int) -> tuple[int, ...]:
-    best = None
-    for perm in _stabilizer(p):
-        img = [0] * p
-        for v in range(p):
-            img[perm[v]] = perm[matching[v]]
-        t = tuple(img)
-        if best is None or t < best:
-            best = t
-    return best
+def _alternating_cycles(a: tuple[int, ...], b: tuple[int, ...]) -> list[list[int]]:
+    """The bicolored cycles of two fixed-point-free involutions, each as
+    v, a(v), b(a(v)), a(b(a(v))), ... from its least vertex."""
+    seen = [False] * len(a)
+    cycles = []
+    for start in range(len(a)):
+        cycle = []
+        v = start
+        while not seen[v]:
+            seen[v] = seen[a[v]] = True
+            cycle += [v, a[v]]
+            v = b[a[v]]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def _cycle_partition(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The number of ``a``-pairs on each bicolored cycle, ascending."""
+    return tuple(sorted(len(cycle) // 2 for cycle in _alternating_cycles(a, b)))
 
 
 @lru_cache(maxsize=None)
 def canonical_second_matchings(p: int) -> tuple[tuple[int, ...], ...]:
     """One stabilizer-minimal second matching per alternating-cycle
-    partition of p/2: the shard keys of the enumeration."""
-    reps = set()
+    partition of p/2, sorted: the shard keys of the enumeration.  Each is
+    the least single-cycle layout of each part, in ascending part order."""
+    reps = []
     for part in _partitions(p // 2):
-        m = [0] * p
-        off = 0
+        m: list[int] = []
         for length in part:
-            block = list(range(off, off + 2 * length))
-            # standard pairs (2i, 2i+1) closed into one alternating cycle
-            for idx in range(length):
-                a = block[2 * idx + 1]
-                b = block[(2 * idx + 2) % (2 * length)]
-                m[a], m[b] = b, a
-            off += 2 * length
-        reps.add(_orbit_min(tuple(m), p))
+            m += [len(m) + x for x in _cycle_layout(length)]
+        reps.append(tuple(m))
     return tuple(sorted(reps))
+
+
+@lru_cache(maxsize=None)
+def _shard_of_partition(p: int) -> dict[tuple[int, ...], int]:
+    """The shard index of each cycle partition of p/2.  The rank of a pair
+    of matchings is the index of their partition."""
+    pi0 = standard_matching(p)
+    return {_cycle_partition(pi0, m): i for i, m in enumerate(canonical_second_matchings(p))}
+
+
+def _stabilizer_generators(pi0: tuple[int, ...], pi1: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Generators of the vertex permutations that fix both matchings: per
+    alternating cycle a rotation by one ``pi0``-pair and a reflection, and
+    a swap of each two consecutive cycles of equal length."""
+    p = len(pi0)
+    cycles = sorted(_alternating_cycles(pi0, pi1), key=len)
+    gens = []
+    for cycle in cycles:
+        n = len(cycle)
+        rotation, reflection = list(range(p)), list(range(p))
+        for i, v in enumerate(cycle):
+            rotation[v] = cycle[(i + 2) % n]
+            reflection[v] = cycle[(1 - i) % n]
+        gens += [tuple(rotation), tuple(reflection)]
+    for one, two in zip(cycles, cycles[1:]):
+        if len(one) == len(two):
+            swap = list(range(p))
+            for v, w in zip(one, two):
+                swap[v], swap[w] = w, v
+            gens.append(tuple(swap))
+    return gens
+
+
+def _conjugate(m: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The matching ``m`` with its vertices renamed by ``perm``."""
+    img = [0] * len(m)
+    for v, w in enumerate(m):
+        img[perm[v]] = perm[w]
+    return tuple(img)
+
+
+def _orbit_minima(pool: list[tuple[int, ...]], gens) -> list[int]:
+    """For each matching of the sorted ``pool``, which the group generated
+    by ``gens`` maps onto itself, the index of the least member of its orbit."""
+    index = {m: i for i, m in enumerate(pool)}
+    labels, _ = core.join_classes(range(len(pool)),
+                                  [(i, index[_conjugate(m, h)])
+                                   for i, m in enumerate(pool) for h in gens])
+    least: list[int] = []  # classes are numbered by their least member
+    for i, label in enumerate(labels):
+        if label == len(least):
+            least.append(i)
+    return [least[label] for label in labels]
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +302,18 @@ def shard_keys(n_colors: int, max_order: int) -> list[tuple[int, int]]:
 
 
 def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...]) -> list[str]:
-    """Canonical codes of the filtered gems found in one shard (may overlap
-    with other shards; the merger dedups).
+    """Canonical codes of the filtered gems of one shard.
+
+    A gem lies in the shard of its least-ranked color pair, where the rank
+    of two matchings is the shard index of their cycle partition; its
+    colors 0 and 1 are the standard matching and the shard's second
+    matching, and every pair of its colors ranks at least the shard.  Of
+    the labelings left, only those least in their orbit under H, the
+    vertex permutations fixing both first matchings, are walked: color 2
+    is the least of its H-orbit and no later color's orbit reaches below
+    color 2.  H preserves every pair's rank, so the lexicographically least
+    H-image of any such labeling passes both tests: each isomorphism class
+    lies in exactly one shard, and shards need no merging beyond a union.
 
     The nondecreasing matching tuples are walked as a tree carrying, per
     potential deleted color, the vertex partition of the matchings chosen
@@ -248,20 +325,25 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     triples exceeds what the filter allows; the leaf tests only the
     triples holding the last color.  The count never falls, so exactly the
     leaves that the same test at the leaf would pass reach the
-    canonical code.
+    canonical code.  Each distinct code is decoded and filtered once.
     """
     if n_colors < 3:
         raise StructuralError("enumeration needs at least 3 colors")
     k = n_colors
     pi0 = standard_matching(p)
     pi1 = canonical_second_matchings(p)[shard_index]
-    pool = [m for m in fpf_involutions(p) if m >= pi1]
+    rank = _shard_of_partition(p)
+    # every matching of rank >= shard_index with pi0 is >= pi1, its orbit minimum
+    pool = [m for m in fpf_involutions(p) if rank[_cycle_partition(pi0, m)] >= shard_index]
+    least = _orbit_minima(pool, _stabilizer_generators(pi0, pi1))
     crys = "crystallization" in filters
     want_bipartite = "bipartite" in filters
 
     all_matchings = [pi0, pi1] + pool
     pairs_of = [tuple((v, m[v]) for v in range(p) if v < m[v]) for m in all_matchings]
     cache: dict[tuple, tuple] = {}
+    # per earlier mid, one byte per mid: 0 not yet ranked, 1 at or above the shard, 2 below
+    ranked: dict[int, bytearray] = {}
 
     def merge(labels: tuple, mid: int) -> tuple:
         """Partition after adding one matching; memoized on (labels, mid)."""
@@ -270,6 +352,20 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
         if hit is None:
             hit = cache[key] = core.join_classes(labels, pairs_of[mid])
         return hit
+
+    def ranks_in_shard(mid: int) -> bool:
+        """Whether the matching ``mid`` ranks >= the shard with pi1 and with
+        every color chosen before it; memoized on (earlier mid, mid)."""
+        for earlier in mids[1:]:
+            row = ranked.get(earlier)
+            if row is None:
+                row = ranked[earlier] = bytearray(len(all_matchings))
+            if not row[mid]:
+                part = _cycle_partition(all_matchings[earlier], all_matchings[mid])
+                row[mid] = 1 if rank[part] >= shard_index else 2
+            if row[mid] == 2:
+                return False
+        return True
 
     ident = tuple(range(p))
     l0 = merge(ident, 0)[0]
@@ -313,6 +409,7 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
         return unclean
 
     codes: set[str] = set()
+    seen: set[str] = set()
     mids: list[int] = [0, 1]  # indices into all_matchings of the colors chosen so far
 
     def survivor():
@@ -321,8 +418,10 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
             return
         g = core.ColoredGraph(rows)
         code = core.canonical_code(g).hex()
-        if code not in codes and _passes_expensive(core.decode_code(code), filters):
-            codes.add(code)
+        if code not in seen:
+            seen.add(code)
+            if _passes_expensive(core.decode_code(code), filters):
+                codes.add(code)
 
     def dfs(depth: int, states: tuple, full: tuple, start: int, unclean: int):
         last = depth == k - 1
@@ -331,6 +430,9 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
             return
         for idx in range(start, len(pool)):
             mid = idx + 2
+            # color 2 is least in its H-orbit; no later color's orbit reaches below it
+            if least[idx] < (idx if depth == 2 else mids[2] - 2) or not ranks_in_shard(mid):
+                continue
             if last:
                 if crys:
                     connected = all(merge(states[h], mid)[1] == 1 for h in range(k - 1))

@@ -1,14 +1,23 @@
-"""Shard enumeration against a reference: the leaf-only sphere prune.
+"""Shard enumeration against references.
 
-The reference walks the same search tree but tests every color triple's
-sphere condition only at the leaf.  The library tests each triple when its
-last color is chosen and cuts the branch there; the code lists must be
-identical.
+`run_shard_oracle` walks every nondecreasing labeling of a shard, with
+color 2 anywhere in the pool, and tests every color triple's sphere
+condition only at the leaf.  The library cuts each branch as soon as a
+triple is unclean, a color pair ranks below the shard, or a labeling is
+not least in its orbit under the stabilizer of the first two matchings.
+So each library shard finds a subset of its oracle shard's codes through
+a subsequence of its leaves, the library shards are pairwise disjoint,
+and together they find every code the oracle finds.
+
+The brute-force stabilizer of the standard matching is the oracle for the
+closed-form shard keys and for the generated stabilizer orbits.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -94,25 +103,119 @@ def run_shard_oracle(k: int, p: int, shard_index: int, filters: tuple[str, ...])
     return sorted(codes)
 
 
+@lru_cache(maxsize=None)
+def _stabilizer(p: int) -> tuple[tuple[int, ...], ...]:
+    """Vertex permutations preserving the standard matching."""
+    half = p // 2
+    out = []
+    for blocks in itertools.permutations(range(half)):
+        for flips in itertools.product((0, 1), repeat=half):
+            perm = [0] * p
+            for b in range(half):
+                for s in (0, 1):
+                    perm[2 * b + s] = 2 * blocks[b] + (s ^ flips[b])
+            out.append(tuple(perm))
+    return tuple(out)
+
+
+def _image(matching: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    img = [0] * len(matching)
+    for v in range(len(matching)):
+        img[perm[v]] = perm[matching[v]]
+    return tuple(img)
+
+
+def _orbit_min(matching: tuple[int, ...], p: int) -> tuple[int, ...]:
+    return min(_image(matching, perm) for perm in _stabilizer(p))
+
+
+def _one_cycle_per_part(part, p: int) -> tuple[int, ...]:
+    """Some matching whose cycles with the standard matching have the
+    lengths ``part``: the standard pairs of each block closed into one cycle."""
+    m = [0] * p
+    off = 0
+    for length in part:
+        block = list(range(off, off + 2 * length))
+        for idx in range(length):
+            a = block[2 * idx + 1]
+            b = block[(2 * idx + 2) % (2 * length)]
+            m[a], m[b] = b, a
+        off += 2 * length
+    return tuple(m)
+
+
+def _is_subsequence(part, whole) -> bool:
+    rest = iter(whole)
+    return all(any(x == y for y in rest) for x in part)
+
+
+@pytest.mark.parametrize("p", [2, 4, 6, 8, 10, 12])
+def test_shard_keys_are_the_brute_force_orbit_minima(p):
+    pi0 = catalogue.standard_matching(p)
+    reps = catalogue.canonical_second_matchings(p)
+    assert reps == tuple(sorted({_orbit_min(_one_cycle_per_part(part, p), p)
+                                 for part in catalogue._partitions(p // 2)}))
+    assert len(reps) == (1, 2, 3, 5, 7, 11)[p // 2 - 1]  # partitions of p/2
+    # shard i holds the i-th partition in key order, one shard per partition
+    assert [catalogue._shard_of_partition(p)[catalogue._cycle_partition(pi0, m)]
+            for m in reps] == list(range(len(reps)))
+
+
+@pytest.mark.parametrize("p", [2, 4, 6, 8, 10])
+def test_generator_orbits_are_the_brute_force_stabilizer_orbits(p):
+    pi0 = catalogue.standard_matching(p)
+    pool = list(catalogue.fpf_involutions(p))
+    index = {m: i for i, m in enumerate(pool)}
+    for pi1 in catalogue.canonical_second_matchings(p):
+        group = [h for h in _stabilizer(p) if _image(pi1, h) == pi1]
+        least = [None] * len(pool)
+        for i, m in enumerate(pool):
+            if least[i] is None:
+                orbit = {index[_image(m, h)] for h in group}
+                for j in orbit:
+                    least[j] = min(orbit)
+        gens = catalogue._stabilizer_generators(pi0, pi1)
+        assert catalogue._orbit_minima(pool, gens) == least, pi1
+
+
 @pytest.mark.parametrize("k, max_order, filters", [
     (5, 6, ("crystallization",)),
     (5, 6, ("manifold",)),
     (5, 6, ("bipartite", "crystallization")),
     (4, 8, ("crystallization",)),
+    (3, 8, ()),
+    (4, 6, ()),
 ])
 def test_run_shard_matches_leaf_prune_oracle(monkeypatch, k, max_order, filters):
-    # the prune only cuts leaves the leaf test rejects: the same leaves
-    # reach the canonical code
+    # each class lies in one shard; the library walks part of the oracle's
+    # tree, so its leaves are some of the oracle's, in the same order
     calls = []
     code_of = core.canonical_code
     monkeypatch.setattr(core, "canonical_code", lambda g: calls.append(g) or code_of(g))
-    found = 0
+    found: set[str] = set()
+    expected: set[str] = set()
     for p, index in catalogue.shard_keys(k, max_order):
         codes = catalogue.run_shard(k, p, index, filters)
         leaves = calls[:]
         calls.clear()
-        assert codes == run_shard_oracle(k, p, index, filters), (p, index)
-        assert leaves == calls, (p, index)
+        oracle = run_shard_oracle(k, p, index, filters)
+        assert set(codes) <= set(oracle), (p, index)
+        assert _is_subsequence(leaves, calls), (p, index)
         calls.clear()
-        found += len(codes)
-    assert found > 0
+        assert found.isdisjoint(codes), (p, index)
+        found.update(codes)
+        expected.update(oracle)
+    assert found == expected
+    assert found
+
+
+@pytest.mark.parametrize("filters", [("crystallization",),
+                                     ("crystallization", "simply-connected")])
+def test_run_shard_filters_each_code_once(monkeypatch, filters):
+    passes = catalogue._passes_expensive
+    for p, index in catalogue.shard_keys(5, 8):
+        filtered = collections.Counter()
+        monkeypatch.setattr(catalogue, "_passes_expensive",
+                            lambda g, f: filtered.update([g]) or passes(g, f))
+        catalogue.run_shard(5, p, index, filters)
+        assert all(n == 1 for n in filtered.values()), (p, index)
