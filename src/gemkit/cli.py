@@ -72,13 +72,12 @@ def cmd_info(args) -> dict:
     report["connected"] = core.is_connected(g)
     report["hat_residue_counts"] = {
         str(c): n for c, n in core.hat_residue_counts(g).items()}
-    if g.n_colors >= 3 and core.is_connected(g):
+    if g.n_colors >= 3 and report["connected"]:
         mc = recognition.check_closed_manifold(g)
         report["manifold_class"] = mc.to_json()
         _note_conditional(report, "manifold_class")
         if g.n_colors >= 4:
-            ok, counts = recognition.is_crystallization(g)
-            report["crystallization"] = ok
+            report["crystallization"] = recognition.is_crystallization(g)[0]
         report["euler_characteristic"] = invariants.euler_characteristic(g)
     return report
 

@@ -252,14 +252,12 @@ class Residue:
     """One connected component of a color-restricted spanning subgraph.
 
     ``graph`` is the component re-indexed as a standalone gem over
-    ``len(key)`` colors; ``graph`` color j corresponds to ``key[j]`` and
-    ``vertex_map[new] = old`` recovers original vertex ids.
+    ``len(key)`` colors; ``graph`` color j corresponds to ``key[j]``.
     """
 
     key: tuple[int, ...]
     vertices: tuple[int, ...]
     graph: ColoredGraph
-    vertex_map: tuple[int, ...]
 
 
 def extract_residues(g: ColoredGraph, key) -> list[Residue]:
@@ -272,7 +270,7 @@ def extract_residues(g: ColoredGraph, key) -> list[Residue]:
     groups: list[list[int]] = [[] for _ in range(count)]
     for v, lab in enumerate(labels):
         groups[lab].append(v)
-    return [Residue(key=key, vertices=tuple(verts), vertex_map=tuple(verts),
+    return [Residue(key=key, vertices=tuple(verts),
                     graph=residue_graph(g.matchings, key, verts)) for verts in groups]
 
 
@@ -571,10 +569,6 @@ class Dipole:
     proper: bool | None
 
 
-def _joining_colors(g: ColoredGraph, u: int, v: int) -> tuple[int, ...]:
-    return tuple(c for c in g.colors if g.matchings[c][u] == v)
-
-
 def _residues_split(rows, comp, u: int, v: int) -> bool:
     """Whether u and v lie in distinct ``comp``-residues of ``rows``: a
     search from both in turn, ended when they meet or the smaller is spent."""
@@ -628,24 +622,14 @@ def find_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
     require_connected(g)
     if g.order <= 2:
         return ()
-    k = g.n_colors
+    rows = g.matchings
     out = []
-    seen = set()
     for u in range(g.order):
-        for c in g.colors:
-            v = g.matchings[c][u]
-            if v < u or (u, v) in seen:
-                continue
-            seen.add((u, v))
-            colors = _joining_colors(g, u, v)
-            if not 1 <= len(colors) <= k - 1:
-                continue
-            comp = complement_key(colors, k)
-            labels, _ = residue_labels(g, comp)
-            if labels[u] == labels[v]:
-                continue
-            out.append(Dipole(vertices=(u, v), colors=colors,
-                              proper=_dipole_properness(g.matchings, comp, u, v)))
+        for v in {row[u] for row in rows if row[u] > u}:
+            comp = tuple(c for c in g.colors if rows[c][u] != v)
+            if comp and _residues_split(rows, comp, u, v):
+                out.append(Dipole(vertices=(u, v), colors=complement_key(comp, g.n_colors),
+                                  proper=_dipole_properness(rows, comp, u, v)))
     out.sort(key=lambda d: (d.vertices, d.colors))
     return tuple(out)
 
@@ -693,13 +677,13 @@ def eliminate_dipole(g: ColoredGraph, vertices, colors=None) -> ColoredGraph:
         raise StructuralError("invalid dipole vertices")
     if g.order <= 2:
         raise StructuralError("cannot eliminate a dipole from an order-2 graph")
-    joining = _joining_colors(g, u, v)
+    comp = tuple(c for c in g.colors if g.matchings[c][u] != v)
+    joining = complement_key(comp, g.n_colors)
     if colors is not None and residue_key(colors) != joining:
         raise StructuralError(f"vertices {u},{v} are joined by {joining}, not {tuple(colors)}")
-    if not 1 <= len(joining) <= g.n_colors - 1:
+    if not joining or not comp:
         raise StructuralError(f"vertices {u},{v} do not form a dipole")
-    labels, _ = residue_labels(g, complement_key(joining, g.n_colors))
-    if labels[u] == labels[v]:
+    if not _residues_split(g.matchings, comp, u, v):
         raise StructuralError(f"vertices {u},{v} lie in the same complementary residue")
 
     rows = [list(row) for row in g.matchings]

@@ -180,7 +180,7 @@ def subgenus_target(g: core.ColoredGraph, j: int, k: int, s: int):
     r = next(c for c in lower if c not in (s, j, k))
     eps = (s, j, r, k, top)
     perm = genus.CyclicPermutation.canonical(eps)
-    value = genus.subgenus(g, perm, perm.seq.index(s))
+    value = genus.genus_all(g).subgenera[perm][perm.seq.index(s)]
     beta2 = invariants.beta2_via_genus(g)
     t = core.residue_count(g, tuple(sorted((s, j, k)))) - 1
     if value != beta2 + t:
@@ -239,7 +239,7 @@ def collapse_2skeleton(g: core.ColoredGraph, w: HypothesisWitness) -> CollapseTr
     edge_of = {t: edge_labels[v] for t, v in enumerate(core.residue_roots(tri_labels))}
 
     eps = genus.CyclicPermutation.canonical(w.permutation)
-    rho = genus.subgenus(g, eps, eps.seq.index(e0))
+    rho = genus.genus_all(g).subgenera[eps][eps.seq.index(e0)]
     if rho.denominator != 1:
         raise InternalConsistencyError(f"half-integral subgenus {rho} in collapse")
     rho = int(rho)

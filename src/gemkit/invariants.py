@@ -19,6 +19,12 @@ depending on where the singular color sits relative to the chosen pair;
 route (B) always computes the singular model.  Disagreement raises, and is
 always a bug.
 
+The genus routes are checked once per graph, in ``homology``: on a
+crystallization the genus route to chi (2 - 2*rho + sum of subgenera, at
+every cyclic order) must equal the chi counted from residues.  beta2 from
+the genus (sum of subgenera - 2*rho) is that chi minus 2, so
+``beta2_via_genus`` reads it off the homology report.
+
 All matrix arithmetic is exact arbitrary-precision integers.
 """
 
@@ -158,22 +164,6 @@ def euler_characteristic(g: core.ColoredGraph) -> int:
     return chi
 
 
-def _genus_identity(g: core.ColoredGraph, name: str, value) -> int:
-    """An integer read off the genus report of a 5-colored crystallization
-    by ``value(report, eps)``, which must give it at every cyclic order."""
-    recognition.require_crystallization(g)
-    report = genus.genus_all(g)
-    values = {e: value(report, e) for e in report.rho}
-    distinct = set(values.values())
-    if len(distinct) != 1:
-        raise InternalConsistencyError(
-            f"{name} from genus depends on the permutation: {values}")
-    val = distinct.pop()
-    if val.denominator != 1:
-        raise InternalConsistencyError(f"non-integral {name} {val}")
-    return int(val)
-
-
 def euler_via_genus(g: core.ColoredGraph, eps=None) -> int:
     """Euler characteristic of the represented singular 4-manifold from the
     genus/subgenus split: 2 - 2*rho_eps + sum_i rho with color eps_i dropped.
@@ -183,11 +173,19 @@ def euler_via_genus(g: core.ColoredGraph, eps=None) -> int:
     5-colored crystallization; ``eps``, if given, must be a cyclic order of
     its five colors.
     """
-    chi = _genus_identity(g, "euler characteristic",
-                          lambda rep, e: 2 - 2 * rep.rho[e] + sum(rep.subgenera[e]))
+    recognition.require_crystallization(g)
+    report = genus.genus_all(g)
+    values = {e: 2 - 2 * report.rho[e] + sum(report.subgenera[e]) for e in report.rho}
+    distinct = set(values.values())
+    if len(distinct) != 1:
+        raise InternalConsistencyError(
+            f"euler characteristic from genus depends on the permutation: {values}")
+    chi = distinct.pop()
+    if chi.denominator != 1:
+        raise InternalConsistencyError(f"non-integral euler characteristic {chi}")
     if eps is not None:
         genus.as_permutation(g, eps)
-    return chi
+    return int(chi)
 
 
 # ---------------------------------------------------------------------------
@@ -573,25 +571,27 @@ def homology(g: core.ColoredGraph) -> HomologyReport:
 def beta2_via_genus(g: core.ColoredGraph) -> int:
     """Second Betti number from the genus/subgenus split, for certified
     simply-connected crystallizations: sum of subgenera minus twice the
-    genus, independent of the permutation.
+    genus, at any permutation.
 
-    Also asserts the value never exceeds any single subgenus and matches
-    the homology report.
+    That value is the genus route to chi minus 2, and ``homology`` has
+    already checked that route on a crystallization (independent of the
+    permutation, integral and equal to the count chi), so it is read off
+    the homology report.  Asserts it is nonnegative, never exceeds any
+    single subgenus and matches the report's beta2.
     """
     cert = pi1_certificate(g)
     if cert.status != "trivial":
         raise AnalysisRefused(
             f"beta2_via_genus needs certified trivial pi1 (status: {cert.status})")
-    beta2 = _genus_identity(g, "beta2",
-                            lambda rep, e: sum(rep.subgenera[e]) - 2 * rep.rho[e])
+    recognition.require_crystallization(g)
+    hom = homology(g)
+    beta2 = hom.chi_singular - 2
     if beta2 < 0:
         raise InternalConsistencyError(f"bad beta2 value {beta2}")
-    report = genus.genus_all(g)
-    min_sub = min(min(vals) for vals in report.subgenera.values())
+    min_sub = min(min(vals) for vals in genus.genus_all(g).subgenera.values())
     if beta2 > min_sub:
         raise InternalConsistencyError(
             f"beta2 {beta2} exceeds some subgenus {min_sub}")
-    hom = homology(g)
     if hom.betti2 != beta2:
         raise InternalConsistencyError(
             f"beta2 mismatch: genus route {beta2}, homology {hom.betti2}")

@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 import random
+from types import MappingProxyType
 
 import pytest
 
 from gemkit import classification, core, fixtures, genus, invariants, recognition
-from gemkit.errors import AnalysisRefused, StructuralError
+from gemkit.errors import AnalysisRefused, InternalConsistencyError, StructuralError
 
 from conftest import chi_by_counting, random_augment
 
@@ -221,6 +223,35 @@ def test_beta2_via_genus_values_and_refusal():
     assert invariants.beta2_via_genus(s) == 2
     with pytest.raises(AnalysisRefused):
         invariants.beta2_via_genus(fixtures.nonsimply_connected())
+
+
+def test_beta2_via_genus_refuses_a_negative_value(monkeypatch):
+    g = fixtures.cp2()
+    hom = dataclasses.replace(invariants.homology(g), chi_singular=1, betti2=-1)
+    monkeypatch.setattr(invariants, "homology", lambda _: hom)
+    with pytest.raises(InternalConsistencyError, match="bad beta2 value -1"):
+        invariants.beta2_via_genus(g)
+
+
+def test_beta2_via_genus_refuses_a_value_above_a_subgenus(monkeypatch):
+    g = fixtures.cp2()
+    invariants.homology(g)  # warm: homology reads genus_all for its chi check
+    rep = genus.genus_all(g)
+    low = dataclasses.replace(rep, subgenera=MappingProxyType(
+        {e: (0,) + vals[1:] for e, vals in rep.subgenera.items()}))
+    monkeypatch.setattr(genus, "genus_all", lambda _: low)
+    with pytest.raises(InternalConsistencyError, match="exceeds some subgenus 0"):
+        invariants.beta2_via_genus(g)
+
+
+def test_beta2_via_genus_refuses_a_homology_mismatch(monkeypatch):
+    g = fixtures.cp2()
+    hom = invariants.homology(g)
+    assert hom.betti2 == hom.chi_singular - 2 == 1
+    off = dataclasses.replace(hom, betti2=hom.betti2 + 1)
+    monkeypatch.setattr(invariants, "homology", lambda _: off)
+    with pytest.raises(InternalConsistencyError, match="beta2 mismatch"):
+        invariants.beta2_via_genus(g)
 
 
 def test_beta2_never_exceeds_subgenera(crystallization_corpus_order6):

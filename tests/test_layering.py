@@ -2,12 +2,16 @@
 
 A rule written once belongs to one module; when a second module needs it,
 the owner makes it public.  Using another module's underscore name is how
-private copies of a rule start to be shared, so it fails here.
+private copies of a rule start to be shared, so it fails here.  The
+runtime itself stays stdlib-only: its absolute imports name standard
+library modules and nothing else.
 """
 
 from __future__ import annotations
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 MODULES = ("core", "genus", "recognition", "invariants", "classification",
@@ -24,3 +28,20 @@ def test_no_module_uses_another_modules_private_names():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             for m in PRIVATE_USE.finditer(line)]
     assert hits == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    outside = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
