@@ -37,8 +37,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 from . import classification, core, genus, handles, invariants, recognition
 from .errors import GemFormatError, InternalConsistencyError, StructuralError
@@ -52,7 +52,7 @@ FILTERS = ("bipartite", "manifold", "crystallization", "simply-connected",
 # Involution machinery
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@core.memo
 def fpf_involutions(p: int) -> tuple[tuple[int, ...], ...]:
     """All fixed-point-free involutions of 0..p-1, sorted."""
     def rec(rem):
@@ -124,7 +124,7 @@ def _cycle_partition(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(len(cycle) // 2 for cycle in _alternating_cycles(a, b)))
 
 
-@lru_cache(maxsize=None)
+@core.memo
 def canonical_second_matchings(p: int) -> tuple[tuple[int, ...], ...]:
     """One stabilizer-minimal second matching per alternating-cycle
     partition of p/2, sorted: the shard keys of the enumeration.  Each is
@@ -138,12 +138,13 @@ def canonical_second_matchings(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(reps))
 
 
-@lru_cache(maxsize=None)
-def _shard_of_partition(p: int) -> dict[tuple[int, ...], int]:
-    """The shard index of each cycle partition of p/2.  The rank of a pair
-    of matchings is the index of their partition."""
+@core.memo
+def _shard_of_partition(p: int) -> MappingProxyType:
+    """The shard index of each cycle partition of p/2 (read-only).  The
+    rank of a pair of matchings is the index of their partition."""
     pi0 = standard_matching(p)
-    return {_cycle_partition(pi0, m): i for i, m in enumerate(canonical_second_matchings(p))}
+    return MappingProxyType({_cycle_partition(pi0, m): i
+                             for i, m in enumerate(canonical_second_matchings(p))})
 
 
 def _stabilizer_generators(pi0: tuple[int, ...], pi1: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -372,7 +373,6 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     l1 = merge(ident, 1)[0]
     l01 = merge(l0, 1)[0]
     init_states = tuple(l1 if h == 0 else (l0 if h == 1 else l01) for h in range(k))
-    init_full = l01
     # Sphere prune mirroring the dimension-specific manifold demands: a
     # 3-colored residue is a union of spheres iff its pair counts satisfy
     # g_ab + g_bc + g_ca - p/2 == 2 * g_abc.  For k >= 5 every triple must be
@@ -423,7 +423,7 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
             if _passes_expensive(core.decode_code(code), filters):
                 codes.add(code)
 
-    def dfs(depth: int, states: tuple, full: tuple, start: int, unclean: int):
+    def dfs(depth: int, states: tuple, start: int, unclean: int):
         last = depth == k - 1
         # states[k-1] is final here: labels are dense, so max+1 is its count
         if last and crys and max(states[k - 1]) != 0:
@@ -433,13 +433,11 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
             # color 2 is least in its H-orbit; no later color's orbit reaches below it
             if least[idx] < (idx if depth == 2 else mids[2] - 2) or not ranks_in_shard(mid):
                 continue
-            if last:
-                if crys:
-                    connected = all(merge(states[h], mid)[1] == 1 for h in range(k - 1))
-                else:
-                    connected = merge(full, mid)[1] == 1
-                if not connected:
-                    continue
+            # a leaf is connected (states[k-1] holds every color chosen), and
+            # in crystallization runs so is each of its hat-residues
+            if last and any(merge(states[h], mid)[1] != 1
+                            for h in (range(k - 1) if crys else (k - 1,))):
+                continue
             mids.append(mid)
             now = unclean if allowance is None else add_unclean(unclean)
             if now is not None:
@@ -448,10 +446,10 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
                 else:
                     new_states = tuple(states[h] if h == depth else merge(states[h], mid)[0]
                                        for h in range(k))
-                    dfs(depth + 1, new_states, merge(full, mid)[0], idx, now)
+                    dfs(depth + 1, new_states, idx, now)
             mids.pop()
 
-    dfs(2, init_states, init_full, 0, 0)
+    dfs(2, init_states, 0, 0)
     return sorted(codes)
 
 

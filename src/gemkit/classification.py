@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import core, genus, invariants, recognition
 from .errors import AnalysisRefused, InternalConsistencyError
@@ -28,11 +29,12 @@ def _certificate(g: core.ColoredGraph) -> invariants.Pi1Certificate:
     return cert
 
 
-def t_values(g: core.ColoredGraph) -> dict[tuple[int, int, int], int]:
-    """Residue count minus one for every 3-subset of the colors."""
+@core.memo
+def t_values(g: core.ColoredGraph) -> MappingProxyType:
+    """Residue count minus one for every 3-subset of the colors (read-only)."""
     recognition.require_crystallization(g)
-    return {triple: core.residue_count(g, triple) - 1
-            for triple in itertools.combinations(range(5), 3)}
+    return MappingProxyType({triple: core.residue_count(g, triple) - 1
+                             for triple in itertools.combinations(range(5), 3)})
 
 
 def skew_triples(eps: genus.CyclicPermutation) -> tuple[tuple[int, int, int], ...]:
@@ -178,7 +180,7 @@ def check_bounds(g: core.ColoredGraph) -> BoundsReport:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    t: dict
+    t: MappingProxyType
     simple: bool
     weak_simple_witnesses: tuple
     bounds: BoundsReport

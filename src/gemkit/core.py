@@ -22,11 +22,20 @@ from .errors import GemFormatError, StructuralError
 
 COLOR_PRESERVING = "color-preserving"
 UP_TO_COLOR_PERMUTATION = "up-to-color-permutation"
-# Codes kept by canonical_code's memo.  An enumeration computes each code
-# once (no hits), while one CLI run asks several times for the code of one
-# graph; a bound keeps the latter and stops the former from growing
+# Entries kept by each memo.  An enumeration asks for each code once (no
+# hits), while one analysis asks many times for the same facts of one
+# graph; the bound keeps the latter and stops the former from growing
 # without limit.
-_CODE_MEMO = 4096
+MEMO_BOUND = 4096
+MEMOS: list = []  # every memoised function, in definition order
+
+
+def memo(fn):
+    """``fn`` memoised by ``lru_cache`` under ``MEMO_BOUND``, registered in
+    ``MEMOS``.  Exceptions are not kept, so a failing check fails on every
+    call; results are shared between callers, so they must be immutable."""
+    MEMOS.append(lru_cache(maxsize=MEMO_BOUND)(fn))
+    return MEMOS[-1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,10 +86,6 @@ class ColoredGraph:
     @property
     def colors(self) -> range:
         return range(len(self.matchings))
-
-    def neighbor(self, v: int, c: int) -> int:
-        """Vertex joined to ``v`` by its c-colored edge."""
-        return self.matchings[c][v]
 
     def relabel(self, perm) -> "ColoredGraph":
         """Image under the vertex bijection ``v -> perm[v]``."""
@@ -216,7 +221,7 @@ def spanning_tree(n_nodes: int, edges) -> list[int]:
 # Residues
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@memo
 def residue_labels(g: ColoredGraph, key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Component labels of the spanning subgraph on ``key`` colors.
 
@@ -291,7 +296,7 @@ def require_connected(g: ColoredGraph):
         raise StructuralError("operation requires a connected graph")
 
 
-@lru_cache(maxsize=None)
+@memo
 def bipartition(g: ColoredGraph) -> tuple[int, ...] | None:
     """Vertex 2-coloring consistent with every edge, or None if impossible.
 
@@ -422,7 +427,7 @@ def _minimal_first_rows(matchings, p, k, permute):
     return out
 
 
-@lru_cache(maxsize=_CODE_MEMO)
+@memo
 def canonical_code(g: ColoredGraph, flavor: str = UP_TO_COLOR_PERMUTATION) -> CanonicalCode:
     """Canonical form via lexicographically minimal BFS adjacency stream.
 

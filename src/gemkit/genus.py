@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 
 from . import core
@@ -46,11 +45,6 @@ class CyclicPermutation:
     def n_colors(self) -> int:
         return len(self.seq)
 
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Consecutive color pairs, cyclically."""
-        k = len(self.seq)
-        return tuple((self.seq[i], self.seq[(i + 1) % k]) for i in range(k))
-
     def delete(self, i: int) -> tuple[int, ...]:
         """Induced cyclic order on the remaining colors after dropping
         position i (not re-canonicalized; only the cyclic order matters)."""
@@ -63,7 +57,7 @@ class CyclicPermutation:
         return "(" + ",".join(str(c) for c in self.seq) + ")"
 
 
-@lru_cache(maxsize=None)
+@core.memo
 def all_cyclic_permutations(n_colors: int) -> tuple[CyclicPermutation, ...]:
     """All canonical cyclic orderings of 0..n_colors-1 (k!/2 /k classes;
     12 for five colors, 3 for four, 1 for three)."""
@@ -177,7 +171,7 @@ def fraction_json(v: Fraction):
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
-@lru_cache(maxsize=None)
+@core.memo
 def genus_all(g: core.ColoredGraph) -> GenusReport:
     """Genus for every canonical permutation plus all subgenera."""
     perms = all_cyclic_permutations(g.n_colors)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import core, genus, recognition
 from .errors import AnalysisRefused, InternalConsistencyError, StructuralError
@@ -484,7 +483,7 @@ class Pi1Certificate:
     witness_colors: tuple[int, int] | None
 
 
-@lru_cache(maxsize=None)
+@core.memo
 def pi1_certificate(g: core.ColoredGraph) -> Pi1Certificate:
     compact, singular = color_pair(g), color_pair(g, SINGULAR)
     m = abelian_rank(presentation_raw(g, *compact))
@@ -524,7 +523,7 @@ class HomologyReport:
         }
 
 
-@lru_cache(maxsize=None)
+@core.memo
 def homology(g: core.ColoredGraph) -> HomologyReport:
     """Homology of the represented compact 4-manifold and its singular model.
 
@@ -568,6 +567,7 @@ def homology(g: core.ColoredGraph) -> HomologyReport:
                           conditional=mc.conditional)
 
 
+@core.memo
 def beta2_via_genus(g: core.ColoredGraph) -> int:
     """Second Betti number from the genus/subgenus split, for certified
     simply-connected crystallizations: sum of subgenera minus twice the

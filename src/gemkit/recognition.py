@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from types import MappingProxyType
 
 from . import core, genus
 from .errors import StructuralError
@@ -110,7 +110,7 @@ def _genus_zero_order(g: core.ColoredGraph):
                  if genus.genus_wrt(g, eps) == 0), None)
 
 
-@lru_cache(maxsize=None)
+@core.memo
 def sphere_certificate(g: core.ColoredGraph) -> SphereCertificate:
     """Try to decide whether a connected k-colored gem represents a sphere.
 
@@ -168,7 +168,7 @@ def recognize_sphere3(g: core.ColoredGraph) -> SphereCertificate:
     return sphere_certificate(g)
 
 
-@lru_cache(maxsize=None)
+@core.memo
 def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
     """Classify the polyhedron represented by a connected gem.
 
@@ -226,8 +226,9 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
                          conditional=conditional, certificates=tuple(certs))
 
 
+@core.memo
 def is_crystallization(g: core.ColoredGraph):
-    """(flag, per-color hat-residue counts).
+    """(flag, per-color hat-residue counts as a read-only mapping).
 
     True when the gem represents a compact manifold with empty or connected
     boundary (at most one singular color) and every hat-residue count is 1,
@@ -237,7 +238,7 @@ def is_crystallization(g: core.ColoredGraph):
     mc = check_closed_manifold(g)
     ok = (mc.is_manifold and len(mc.singular_colors) <= 1
           and all(v == 1 for v in counts.values()))
-    return ok, counts
+    return ok, MappingProxyType(counts)
 
 
 def require_crystallization(g: core.ColoredGraph) -> None:

@@ -227,6 +227,7 @@ def test_beta2_via_genus_values_and_refusal():
 
 def test_beta2_via_genus_refuses_a_negative_value(monkeypatch):
     g = fixtures.cp2()
+    invariants.beta2_via_genus.cache_clear()  # cp2's beta2 may be memoised
     hom = dataclasses.replace(invariants.homology(g), chi_singular=1, betti2=-1)
     monkeypatch.setattr(invariants, "homology", lambda _: hom)
     with pytest.raises(InternalConsistencyError, match="bad beta2 value -1"):
@@ -235,6 +236,7 @@ def test_beta2_via_genus_refuses_a_negative_value(monkeypatch):
 
 def test_beta2_via_genus_refuses_a_value_above_a_subgenus(monkeypatch):
     g = fixtures.cp2()
+    invariants.beta2_via_genus.cache_clear()  # cp2's beta2 may be memoised
     invariants.homology(g)  # warm: homology reads genus_all for its chi check
     rep = genus.genus_all(g)
     low = dataclasses.replace(rep, subgenera=MappingProxyType(
@@ -246,6 +248,7 @@ def test_beta2_via_genus_refuses_a_value_above_a_subgenus(monkeypatch):
 
 def test_beta2_via_genus_refuses_a_homology_mismatch(monkeypatch):
     g = fixtures.cp2()
+    invariants.beta2_via_genus.cache_clear()  # cp2's beta2 may be memoised
     hom = invariants.homology(g)
     assert hom.betti2 == hom.chi_singular - 2 == 1
     off = dataclasses.replace(hom, betti2=hom.betti2 + 1)

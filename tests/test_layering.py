@@ -4,7 +4,8 @@ A rule written once belongs to one module; when a second module needs it,
 the owner makes it public.  Using another module's underscore name is how
 private copies of a rule start to be shared, so it fails here.  The
 runtime itself stays stdlib-only: its absolute imports name standard
-library modules and nothing else.
+library modules and nothing else.  Memoisation has one owner too:
+``core.memo``, with one bound.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import ast
 import re
 import sys
 from pathlib import Path
+
+from gemkit import core
 
 MODULES = ("core", "genus", "recognition", "invariants", "classification",
            "handles", "catalogue", "cli", "fixtures")
@@ -45,3 +48,20 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}:{node.lineno}: {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_lru_cache_is_used_only_inside_core_memo():
+    tree = ast.parse((SRC / "core.py").read_text())
+    memo = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "memo")
+    inside = range(memo.lineno, memo.end_lineno + 1)
+    outside = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+               for n, line in enumerate(path.read_text().splitlines(), 1)
+               if "lru_cache" in line and not line.startswith("from functools import")
+               and not (path.name == "core.py" and n in inside)]
+    assert outside == []
+
+
+def test_every_memo_has_the_one_bound():
+    assert core.MEMOS
+    assert {memo.cache_info().maxsize for memo in core.MEMOS} == {core.MEMO_BOUND}

@@ -139,8 +139,7 @@ def memo_entries_after_check(k: int) -> int:
     """`residue_labels` entries left by one manifold check of cp2#k, every
     memo on its path emptied first."""
     g = cp2_sum(k, random.Random(k))
-    for memo in (core.residue_labels, core.bipartition,
-                 recognition.check_closed_manifold, recognition.sphere_certificate):
+    for memo in core.MEMOS:
         memo.cache_clear()
     assert recognition.check_closed_manifold(g).verdict == "closed-4-manifold"
     return core.residue_labels.cache_info().currsize
