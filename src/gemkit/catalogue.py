@@ -35,7 +35,7 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from types import MappingProxyType
@@ -79,7 +79,7 @@ def standard_matching(p: int) -> tuple[int, ...]:
 
 
 def _partitions(n: int, least: int = 1):
-    """Partitions of n into parts >= least, as non-decreasing tuples."""
+    """Partitions of n into summands >= least, as non-decreasing tuples."""
     if n == 0:
         yield ()
         return
@@ -222,30 +222,22 @@ def _passes_expensive(g: core.ColoredGraph, filters) -> bool:
 @dataclass(frozen=True)
 class CatalogueRecord:
     """One catalogue line: the canonical code plus analysis digests,
-    reproducible from the code alone."""
+    reproducible from the code alone.  A line must carry every field
+    without a default."""
 
     code: str
     order: int
     colors: int
     bipartite: bool
-    manifold: dict | None
-    genus: dict | None
-    classification: dict | None
-    handles: dict | None
-    generator: str
+    manifold: dict | None = None
+    genus: dict | None = None
+    classification: dict | None = None
+    handles: dict | None = None
+    generator: str = ""
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "code": self.code,
-            "order": self.order,
-            "colors": self.colors,
-            "bipartite": self.bipartite,
-            "manifold": self.manifold,
-            "genus": self.genus,
-            "classification": self.classification,
-            "handles": self.handles,
-            "generator": self.generator,
-        }, sort_keys=True, separators=(",", ":"))
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                          sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json_line(cls, line: str) -> "CatalogueRecord":
@@ -255,15 +247,12 @@ class CatalogueRecord:
             raise GemFormatError(f"bad catalogue line: {exc}") from exc
         if not isinstance(d, dict):
             raise GemFormatError(f"catalogue line is not a JSON object: {line[:80]!r}")
-        missing = [key for key in ("code", "order", "colors", "bipartite") if key not in d]
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
         if missing:
             raise GemFormatError(f"catalogue line lacks {', '.join(missing)}: {line[:80]!r}")
         if not isinstance(d["code"], str):
             raise GemFormatError(f"catalogue code is not a string: {line[:80]!r}")
-        return cls(code=d["code"], order=d["order"], colors=d["colors"],
-                   bipartite=d["bipartite"], manifold=d.get("manifold"),
-                   genus=d.get("genus"), classification=d.get("classification"),
-                   handles=d.get("handles"), generator=d.get("generator", ""))
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def build_record(code_hex: str) -> CatalogueRecord:
@@ -453,32 +442,45 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     return sorted(codes)
 
 
-def _worker(args):
-    n_colors, p, shard_index, filters = args
-    return (p, shard_index), run_shard(n_colors, p, shard_index, filters)
+def _check_run(max_order: int, filters) -> tuple[str, ...]:
+    """Refuse an odd or too small ``max_order`` and unknown filters;
+    returns the filters as a tuple."""
+    if max_order < 2 or max_order % 2:
+        raise StructuralError("max_order must be even and >= 2")
+    filters = tuple(filters)
+    for f in filters:
+        if f not in FILTERS:
+            raise StructuralError(f"unknown filter {f!r}; valid: {', '.join(FILTERS)}")
+    return filters
+
+
+def _run_shards(n_colors: int, keys, filters: tuple[str, ...], jobs: int = 1):
+    """Yield ``(key, codes)`` for each shard key of ``keys`` in order, run
+    in this process or, when ``jobs > 1``, in ``jobs`` worker processes."""
+    if jobs <= 1:
+        for p, i in keys:
+            yield (p, i), run_shard(n_colors, p, i, filters)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from zip(keys, pool.map(run_shard, itertools.repeat(n_colors),
+                                      [p for p, _ in keys], [i for _, i in keys],
+                                      itertools.repeat(filters)))
 
 
 # ---------------------------------------------------------------------------
 # Catalogue files
 # ---------------------------------------------------------------------------
 
+META_SCHEMA = "gemkit-catalogue-meta/2"
+
+
 def enumerate_gems(n_colors: int, max_order: int, filters=()) -> list[CatalogueRecord]:
     """In-process enumeration; returns records sorted by canonical code."""
-    if max_order < 2 or max_order % 2:
-        raise StructuralError("max_order must be even and >= 2")
-    filters = _check_filters(filters)
+    filters = _check_run(max_order, filters)
     codes = set()
-    for p, idx in shard_keys(n_colors, max_order):
-        codes.update(run_shard(n_colors, p, idx, filters))
+    for _, shard in _run_shards(n_colors, shard_keys(n_colors, max_order), filters):
+        codes.update(shard)
     return [build_record(c) for c in sorted(codes)]
-
-
-def _check_filters(filters) -> tuple[str, ...]:
-    filters = tuple(filters)
-    for f in filters:
-        if f not in FILTERS:
-            raise StructuralError(f"unknown filter {f!r}; valid: {', '.join(FILTERS)}")
-    return filters
 
 
 def _write_atomic(path: Path, chunks) -> None:
@@ -498,20 +500,18 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
                        jobs: int = 1, resume_meta=None) -> dict:
     """Write a JSONL catalogue plus a .meta checkpoint file.
 
-    Shards run in parallel (``jobs`` processes); each completed shard is
-    checkpointed in the .meta file and its codes stashed in a parts
-    directory, so an interrupted run can be resumed with the same meta
-    path.  Both are replaced atomically; on resume, a shard marked done
-    whose part file is missing runs again.  Record lines carry no
-    timestamps: two runs with different job counts produce byte-identical
-    catalogues.
+    Shards run in parallel (``jobs`` processes).  The .meta file is the
+    only checkpoint: as each shard finishes, its sorted codes are stored
+    under its "p:i" key and the file is replaced atomically, so a run
+    killed at any instant can be resumed with the same meta path.  A shard
+    is done exactly when its entry is a code list; any other entry (such as
+    the "done" flag of an older checkpoint) runs again.  Record lines carry
+    no timestamps: two runs with different job counts produce
+    byte-identical catalogues.
     """
-    if max_order < 2 or max_order % 2:
-        raise StructuralError("max_order must be even and >= 2")
-    filters = _check_filters(filters)
+    filters = _check_run(max_order, filters)
     path = Path(path)
     meta_path = Path(resume_meta) if resume_meta else Path(str(path) + ".meta")
-    parts_dir = Path(str(path) + ".parts")
 
     if resume_meta and meta_path.exists():
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -519,9 +519,10 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
         if (params["n_colors"], params["max_order"], params["filters"]) != \
                 (n_colors, max_order, list(filters)):
             raise StructuralError("resume parameters differ from the checkpointed run")
+        meta["schema"] = META_SCHEMA
     else:
         meta = {
-            "schema": "gemkit-catalogue-meta/1",
+            "schema": META_SCHEMA,
             "params": {"n_colors": n_colors, "max_order": max_order,
                        "filters": list(filters)},
             "generator": GENERATOR_VERSION,
@@ -529,44 +530,23 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
             "completed": None,
             "shards": {},
         }
-    parts_dir.mkdir(exist_ok=True)
+    shards = meta["shards"]
 
-    keys = shard_keys(n_colors, max_order)
-
-    def part_path(key):
-        return parts_dir / f"shard-{key[0]}-{key[1]}.json"
-
-    pending = [k for k in keys if meta["shards"].get(f"{k[0]}:{k[1]}") != "done"
-               or not part_path(k).exists()]
-
-    def record_done(key, codes):
-        _write_atomic(part_path(key), [json.dumps(sorted(codes))])
-        meta["shards"][f"{key[0]}:{key[1]}"] = "done"
+    def write_meta():
         _write_atomic(meta_path, [json.dumps(meta, indent=1, sort_keys=True)])
 
-    if jobs <= 1:
-        for key in pending:
-            record_done(key, run_shard(n_colors, key[0], key[1], filters))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = [(n_colors, k[0], k[1], filters) for k in pending]
-            for key, codes in pool.map(_worker, args):
-                record_done(key, codes)
+    names = {key: f"{key[0]}:{key[1]}" for key in shard_keys(n_colors, max_order)}
+    pending = [key for key, name in names.items() if not isinstance(shards.get(name), list)]
+    for key, codes in _run_shards(n_colors, pending, filters, jobs):
+        shards[names[key]] = sorted(codes)
+        write_meta()
 
-    codes = set()
-    for key in keys:
-        codes.update(json.loads(part_path(key).read_text(encoding="utf-8")))
+    codes = set().union(*(shards[name] for name in names.values()))
     records = [build_record(c) for c in sorted(codes)]
     _write_atomic(path, (rec.to_json_line() + "\n" for rec in records))
     meta["completed"] = datetime.now(timezone.utc).isoformat()
     meta["records"] = len(records)
-    _write_atomic(meta_path, [json.dumps(meta, indent=1, sort_keys=True)])
-    for key in keys:
-        part_path(key).unlink(missing_ok=True)
-    try:
-        parts_dir.rmdir()
-    except OSError:
-        pass
+    write_meta()
     return {"records": len(records), "path": str(path), "meta": str(meta_path)}
 
 

@@ -520,30 +520,10 @@ def connected_sum(g1: ColoredGraph, g2: ColoredGraph, v1: int = 0,
     if not 0 <= v2 < g2.order:
         raise StructuralError("v2 out of range")
 
-    map1 = {}
-    for v in range(g1.order):
-        if v != v1:
-            map1[v] = len(map1)
-    off = len(map1)
-    map2 = {}
-    for v in range(g2.order):
-        if v != v2:
-            map2[v] = off + len(map2)
-
-    rows = []
-    for c in g1.colors:
-        row = [0] * (g1.order + g2.order - 2)
-        for v, w in enumerate(g1.matchings[c]):
-            if v != v1 and w != v1:
-                row[map1[v]] = map1[w]
-        for v, w in enumerate(g2.matchings[c]):
-            if v != v2 and w != v2:
-                row[map2[v]] = map2[w]
-        a = map1[g1.matchings[c][v1]]
-        b = map2[g2.matchings[c][v2]]
-        row[a], row[b] = b, a
-        rows.append(tuple(row))
-    return ColoredGraph(tuple(rows))
+    rows = [list(row) for row in disjoint_union(g1, g2).matchings]
+    w2 = g1.order + v2
+    _splice_out(rows, v1, w2)
+    return residue_graph(rows, g1.colors, [w for w in range(len(rows[0])) if w not in (v1, w2)])
 
 
 def disjoint_union(g1: ColoredGraph, g2: ColoredGraph) -> ColoredGraph:
@@ -625,8 +605,6 @@ def find_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
     Order-2 graphs have none by definition.
     """
     require_connected(g)
-    if g.order <= 2:
-        return ()
     rows = g.matchings
     out = []
     for u in range(g.order):

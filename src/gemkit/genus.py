@@ -91,16 +91,7 @@ def genus_of_sequence(g: core.ColoredGraph, seq: tuple[int, ...]) -> Fraction:
     k = len(seq)
     n = k - 1
     p_half = g.order // 2
-    if k == 1:
-        return Fraction(0)
-    total = 0
-    for i in range(k):
-        a, b = seq[i], seq[(i + 1) % k]
-        if k == 2:
-            # the two "consecutive pairs" of a 2-cycle coincide
-            total = 2 * core.residue_count(g, (a, b))
-            break
-        total += core.residue_count(g, (a, b))
+    total = sum(core.residue_count(g, (seq[i], seq[(i + 1) % k])) for i in range(k))
     val = 2 - total - (1 - n) * p_half
     rho = Fraction(val, 2)
     if rho < 0:

@@ -243,8 +243,7 @@ def collapse_2skeleton(g: core.ColoredGraph, w: HypothesisWitness) -> CollapseTr
     if rho.denominator != 1:
         raise InternalConsistencyError(f"half-integral subgenus {rho} in collapse")
     rho = int(rho)
-    if core.residue_count(g, core.complement_key((e0,), 5)) == 1 \
-            and tri_count != edge_count + rho:
+    if tri_count != edge_count + rho:
         raise InternalConsistencyError(
             f"triangle/edge counts {tri_count}/{edge_count} do not split as "
             f"edges + subgenus {rho}")

@@ -340,10 +340,15 @@ def _free_cyclic_reduce(word: list[int]) -> list[int]:
     return stack
 
 
-def tietze_trivializes(pres: Presentation, max_moves: int = 10_000,
-                       max_word_length: int = 4096) -> bool:
+TIETZE_MAX_MOVES = 10_000
+TIETZE_MAX_WORD_LENGTH = 4096
+
+
+def tietze_trivializes(pres: Presentation) -> bool:
     """Bounded Tietze simplification; True when the empty presentation is
-    reached, certifying the presented group trivial.
+    reached, certifying the presented group trivial.  It gives up after
+    ``TIETZE_MAX_MOVES`` eliminations or once a relator grows past
+    ``TIETZE_MAX_WORD_LENGTH`` letters.
 
     The only moves are free/cyclic reduction and elimination of a generator
     occurring exactly once in some relator.  False means "gave up", never
@@ -386,7 +391,7 @@ def tietze_trivializes(pres: Presentation, max_moves: int = 10_000,
                 else:
                     out.append(t)
             out = _free_cyclic_reduce(out)
-            if len(out) > max_word_length:
+            if len(out) > TIETZE_MAX_WORD_LENGTH:
                 return False
             new_relators.append(out)
         # drop generator x, renumber the rest down
@@ -394,7 +399,7 @@ def tietze_trivializes(pres: Presentation, max_moves: int = 10_000,
                      for t in word] for word in new_relators]
         gens -= 1
         moves += 1
-        if moves > max_moves:
+        if moves > TIETZE_MAX_MOVES:
             return False
 
 

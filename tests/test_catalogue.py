@@ -132,6 +132,41 @@ def test_resume_reruns_done_shard_with_missing_part(tmp_path):
     assert not list(tmp_path.glob("**/*.tmp"))
 
 
+def test_killed_run_resumes_from_meta_alone(tmp_path, monkeypatch):
+    keys = catalogue.shard_keys(4, 6)
+    run_shard = catalogue.run_shard
+    calls = []
+
+    def killed_on_third(n_colors, p, i, filters):
+        calls.append((p, i))
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return run_shard(n_colors, p, i, filters)
+
+    out = tmp_path / "cat.jsonl"
+    meta_path = tmp_path / "cat.jsonl.meta"
+    monkeypatch.setattr(catalogue, "run_shard", killed_on_third)
+    with pytest.raises(KeyboardInterrupt):
+        catalogue.generate_catalogue(out, n_colors=4, max_order=6, jobs=1)
+    meta = json.loads(meta_path.read_text())
+    assert meta["shards"] == {f"{p}:{i}": run_shard(4, p, i, ()) for p, i in keys[:2]}
+    assert [f.name for f in tmp_path.iterdir()] == [meta_path.name]
+
+    resumed = []
+
+    def recorded(n_colors, p, i, filters):
+        resumed.append((p, i))
+        return run_shard(n_colors, p, i, filters)
+
+    monkeypatch.setattr(catalogue, "run_shard", recorded)
+    catalogue.generate_catalogue(out, n_colors=4, max_order=6, resume_meta=meta_path)
+    assert resumed == keys[2:]
+    fresh = tmp_path / "fresh" / "cat.jsonl"
+    fresh.parent.mkdir()
+    catalogue.generate_catalogue(fresh, n_colors=4, max_order=6, jobs=1)
+    assert out.read_bytes() == fresh.read_bytes()
+
+
 def test_failed_write_leaves_existing_catalogue_unchanged(tmp_path, monkeypatch):
     path = tmp_path / "cat.jsonl"
     catalogue.generate_catalogue(path, n_colors=3, max_order=6, jobs=1)
@@ -257,3 +292,24 @@ def test_filters_validated():
     with pytest.raises(StructuralError):
         catalogue.enumerate_gems(3, 5)  # odd max_order via generate path
 
+
+
+def test_record_line_without_optional_keys_round_trips():
+    line = json.dumps({"code": "00", "order": 2, "colors": 3, "bipartite": True})
+    rec = catalogue.CatalogueRecord.from_json_line(line)
+    assert (rec.manifold, rec.genus, rec.classification, rec.handles) == (None,) * 4
+    assert rec.generator == ""
+    assert json.loads(rec.to_json_line()) == {
+        "code": "00", "order": 2, "colors": 3, "bipartite": True, "manifold": None,
+        "genus": None, "classification": None, "handles": None, "generator": ""}
+    from gemkit.errors import GemFormatError
+    with pytest.raises(GemFormatError, match="lacks order, bipartite"):
+        catalogue.CatalogueRecord.from_json_line('{"code": "00", "colors": 3}')
+
+
+@pytest.mark.parametrize("max_order,filters", [(5, ()), (6, ("no-such-filter",))])
+def test_generate_refuses_before_writing(tmp_path, max_order, filters):
+    from gemkit.errors import StructuralError
+    with pytest.raises(StructuralError):
+        catalogue.generate_catalogue(tmp_path / "cat.jsonl", 3, max_order, filters)
+    assert not list(tmp_path.iterdir())
