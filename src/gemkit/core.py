@@ -14,6 +14,7 @@ canonical codes, connected sums, dipole moves and the `.gem` text format.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -520,7 +521,7 @@ def connected_sum(g1: ColoredGraph, g2: ColoredGraph, v1: int = 0,
     if not 0 <= v2 < g2.order:
         raise StructuralError("v2 out of range")
 
-    rows = [list(row) for row in disjoint_union(g1, g2).matchings]
+    rows = _union_rows(g1, g2)
     w2 = g1.order + v2
     _splice_out(rows, v1, w2)
     return residue_graph(rows, g1.colors, [w for w in range(len(rows[0])) if w not in (v1, w2)])
@@ -529,10 +530,13 @@ def connected_sum(g1: ColoredGraph, g2: ColoredGraph, v1: int = 0,
 def disjoint_union(g1: ColoredGraph, g2: ColoredGraph) -> ColoredGraph:
     if g1.n_colors != g2.n_colors:
         raise StructuralError("disjoint union needs equal color counts")
+    return ColoredGraph(_union_rows(g1, g2))
+
+
+def _union_rows(g1: ColoredGraph, g2: ColoredGraph) -> list[list[int]]:
+    """Mutable matchings of g1 beside g2, g2's vertices shifted past g1's."""
     off = g1.order
-    rows = tuple(tuple(list(r1) + [w + off for w in r2])
-                 for r1, r2 in zip(g1.matchings, g2.matchings))
-    return ColoredGraph(rows)
+    return [list(r1) + [w + off for w in r2] for r1, r2 in zip(g1.matchings, g2.matchings)]
 
 
 # ---------------------------------------------------------------------------
@@ -705,37 +709,58 @@ def reduce(g: ColoredGraph) -> ColoredGraph:
     the same dipoles.  The residue test walks the complementary residues
     at u and at v in turn (about twice the smaller one).
 
+    Adjacent pairs wait in a worklist, a max-heap on (v, u), and each is
+    tested once.  This is exact because eliminating a dipole (a, b) never
+    splits a residue.  Only the residues at a and b change.  Over colors
+    C within the joining colors that residue is {a, b} and vanishes.
+    Otherwise every survivor in it reaches a neighbor x_c of a or y_c of
+    b by a C-color c not joining a and b; two x_c are joined by their
+    bicolored cycle through a, which stays in a's complementary residue
+    and so misses b (likewise for the y_c); and the splice joins each x_c
+    to y_c.  So a pair found in one residue stays so while both ends
+    live, and is dropped.  Edges between survivors are never removed; a
+    splice adds the pairs (x_c, y_c), whose joining colors change, and
+    only those are queued again.
+
     Certification is skipped, decided once from the input, when every
     dipole is known to be proper: over at most 3 colors every
     complementary residue has at most 2 colors, so it is a sphere; and
     every residue of a gem certified (unconditionally) a closed manifold is
     a sphere.  Eliminating a proper dipole keeps the manifold, so this
     holds at every later step.  Otherwise both complementary residues of
-    each candidate are certified before elimination.
+    each candidate are certified before elimination, and a dipole that is
+    not certified proper is queued again after the next elimination, as
+    residues that merge can change a certificate.
     """
     require_connected(g)
     certify = _needs_certification(g)
     rows = [list(row) for row in g.matchings]
     alive = [True] * g.order
-
-    def candidates():
-        # (u, v, colors not joining them), u < v, greatest (v, u) first
-        for v in range(g.order - 1, 0, -1):
-            if alive[v]:
-                for u in sorted({row[v] for row in rows if row[v] < v}, reverse=True):
-                    comp = tuple(c for c in g.colors if rows[c][u] != v)
-                    if comp:
-                        yield u, v, comp
-
-    while True:
-        for u, v, comp in candidates():
-            if _residues_split(rows, comp, u, v) and (
-                    not certify or _dipole_properness(rows, comp, u, v)):
-                break
-        else:
-            break
+    queued = {(u, v) for row in rows for u, v in enumerate(row) if u < v}
+    heap = [(-v, -u) for u, v in queued]
+    heapq.heapify(heap)
+    held = []  # dipoles not certified proper since the last elimination
+    while heap:
+        v, u = heapq.heappop(heap)
+        u, v = -u, -v
+        queued.discard((u, v))
+        if not (alive[u] and alive[v]):
+            continue
+        comp = tuple(c for c in g.colors if rows[c][u] != v)
+        if not comp or not _residues_split(rows, comp, u, v):
+            continue
+        if certify and not _dipole_properness(rows, comp, u, v):
+            held.append((u, v))
+            continue
+        fresh = {(min(a, b), max(a, b)) for a, b in (
+            (rows[c][u], rows[c][v]) for c in comp)}
         _splice_out(rows, u, v)
         alive[u] = alive[v] = False
+        for x, y in itertools.chain(fresh, held):
+            if (x, y) not in queued:
+                queued.add((x, y))
+                heapq.heappush(heap, (-y, -x))
+        held.clear()
     return g if all(alive) else residue_graph(
         rows, g.colors, [w for w in range(g.order) if alive[w]])
 

@@ -208,6 +208,33 @@ def test_sum_order_arithmetic_and_bipartiteness():
     assert chi_by_counting(t) == -2  # genus-2 surface
 
 
+def reference_sum(g1, g2, v1, v2):
+    """The sum as the splice of v1 and v2 out of a validated disjoint union."""
+    union = core.disjoint_union(g1, g2)
+    w2 = g1.order + v2
+    rows = [list(row) for row in union.matchings]
+    for row in rows:
+        a, b = row[v1], row[w2]
+        row[a], row[b] = b, a
+    return core.residue_graph(rows, union.colors,
+                              [w for w in range(union.order) if w not in (v1, w2)])
+
+
+def test_sum_matches_splice_of_disjoint_union():
+    rng = random.Random(53)
+    by_colors = [[fixtures.cp2, fixtures.rp3_boundary, fixtures.nonsimply_connected,
+                  fixtures.torus_times_colors, lambda: fixtures.sigma(5)],
+                 [fixtures.rp3, lambda: fixtures.sigma(4)],
+                 [fixtures.torus, fixtures.projective_plane, lambda: fixtures.sigma(3)]]
+    for _ in range(30):
+        bases = rng.choice(by_colors)
+        g1, g2 = (random_relabel(random_augment(rng.choice(bases)(), rng, rng.randint(0, 3)),
+                                 rng) for _ in range(2))
+        v1, v2 = rng.randrange(g1.order), rng.randrange(g2.order)
+        assert (core.format_gem(core.connected_sum(g1, g2, v1, v2))
+                == core.format_gem(reference_sum(g1, g2, v1, v2)))
+
+
 def test_sum_rejects_mismatched_colors():
     with pytest.raises(StructuralError):
         core.connected_sum(fixtures.sigma(3), fixtures.sigma(5))

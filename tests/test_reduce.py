@@ -6,14 +6,17 @@ elimination it lists every dipole, certifies both complementary residues
 of each, and eliminates the greatest proper one.  It shares no residue
 walk, residue extraction or splice with the library.  The library's
 `reduce` works on one mutable copy with local residue tests, skips
-certification on certified closed manifolds and stops scanning at the
-first dipole it may eliminate; its output must be byte-identical.
-`find_dipoles` and `eliminate_dipole` are checked against the same
-reference.
+certification on certified closed manifolds and takes pairs from a
+worklist, dropping each once found in one residue; its output must be
+byte-identical.  The lemma that makes the worklist exact (eliminating a
+dipole splits no residue) is checked on its own, over every color set,
+as is the number of residue tests.  `find_dipoles` and
+`eliminate_dipole` are checked against the same reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -127,6 +130,56 @@ def test_find_and_eliminate_dipoles_match_reference(seed, name):
     for (u, v), colors, _ in dipoles:
         assert (core.format_gem(core.eliminate_dipole(g, (u, v), colors))
                 == core.format_gem(reference_eliminate(g, u, v, colors)))
+
+
+def survivors_stay_together(before, after, u, v) -> bool:
+    """Whether every two survivors of eliminating (u, v) from ``before``
+    that share a residue, over any color set, share one in ``after``."""
+    survivors = [w for w in range(before.order) if w not in (u, v)]
+    for size in range(1, before.n_colors + 1):
+        for key in itertools.combinations(before.colors, size):
+            old, _ = core.residue_labels(before, key)
+            new, _ = core.residue_labels(after, key)
+            seen = {}
+            for i, w in enumerate(survivors):
+                if seen.setdefault(old[w], new[i]) != new[i]:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("seed, name", CASES)
+def test_eliminating_a_dipole_splits_no_residue(seed, name):
+    # the lemma behind reduce's worklist: a pair once found in one residue
+    # stays in one while both ends live
+    for g in oracle_inputs(seed, name):
+        dipoles = core.find_dipoles(g)
+        assert dipoles
+        for d in dipoles:
+            assert survivors_stay_together(g, core.eliminate_dipole(g, d.vertices, d.colors),
+                                           *d.vertices)
+
+
+def test_reduce_tests_each_pair_once(monkeypatch):
+    # skipping path: each adjacent pair is tested once, and each elimination
+    # queues at most k - 1 new pairs
+    g = cp2_sum(40, random.Random(40))
+    hats = [r.graph for c in g.colors
+            for r in core.extract_residues(g, core.complement_key((c,), g.n_colors))]
+    calls = []
+    split = core._residues_split
+    monkeypatch.setattr(core, "_residues_split", lambda *a: calls.append(a) or split(*a))
+    for h in hats:
+        assert not core._needs_certification(h)
+        pairs = {(min(v, w), max(v, w)) for row in h.matchings for v, w in enumerate(row)}
+        calls.clear()
+        eliminated = (h.order - core.reduce(h).order) // 2
+        assert eliminated
+        assert len(calls) <= len(pairs) + (h.n_colors - 1) * eliminated
+
+
+def test_relabelled_cp2_160_is_a_closed_manifold():
+    mc = recognition.check_closed_manifold(cp2_sum(160, random.Random(160)))
+    assert mc.verdict == "closed-4-manifold" and not mc.conditional
 
 
 def test_reduce_returns_its_input_when_nothing_is_eliminated():
