@@ -131,7 +131,8 @@ def complement_key(colors, n_colors: int) -> tuple[int, ...]:
     return tuple(c for c in range(n_colors) if c not in drop)
 
 
-def _check_colors(g: ColoredGraph, key) -> tuple[int, ...]:
+def checked_key(g: ColoredGraph, key) -> tuple[int, ...]:
+    """``residue_key(key)``, refused unless every color is one of g's."""
     key = residue_key(key)
     if key[-1] >= g.n_colors or key[0] < 0:
         raise StructuralError(f"color out of range in key {key}")
@@ -175,13 +176,13 @@ def join_classes(labels, pairs) -> tuple[tuple[int, ...], int]:
     return tuple(out), count
 
 
-def two_coloring(rows) -> tuple[int, ...] | None:
+def two_coloring(rows, start: int = 0) -> tuple[int, ...] | None:
     """Vertex 2-coloring of the matchings ``rows`` consistent with every
-    edge of the component of vertex 0 (which gets class 0), or None if
-    that component has an odd cycle."""
+    edge of the component of vertex ``start`` (which gets class 0), or None
+    if that component has an odd cycle."""
     side = [-1] * len(rows[0])
-    side[0] = 0
-    stack = [0]
+    side[start] = 0
+    stack = [start]
     while stack:
         v = stack.pop()
         for row in rows:
@@ -245,7 +246,7 @@ def residue_roots(labels) -> tuple[int, ...]:
 
 def residue_count(g: ColoredGraph, key) -> int:
     """Number of ``key``-residues: components of the ``key``-colored subgraph."""
-    return residue_labels(g, _check_colors(g, key))[1]
+    return residue_labels(g, checked_key(g, key))[1]
 
 
 def hat_residue_counts(g: ColoredGraph) -> dict[int, int]:
@@ -271,7 +272,7 @@ def extract_residues(g: ColoredGraph, key) -> list[Residue]:
 
     The vertex sets partition the vertices of g.
     """
-    key = _check_colors(g, key)
+    key = checked_key(g, key)
     labels, count = residue_labels(g, key)
     groups: list[list[int]] = [[] for _ in range(count)]
     for v, lab in enumerate(labels):

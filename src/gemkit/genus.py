@@ -14,6 +14,7 @@ half-integral genera as Fractions.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -81,24 +82,39 @@ def as_permutation(g: core.ColoredGraph, eps) -> CyclicPermutation:
     return perm
 
 
-def genus_of_sequence(g: core.ColoredGraph, seq: tuple[int, ...]) -> Fraction:
-    """rho of g with respect to an explicit cyclic color sequence.
+def residue_genera(g: core.ColoredGraph, seq) -> tuple[Fraction, ...]:
+    """rho of every residue of g over the colors of ``seq``, with respect to
+    the cyclic order ``seq``, numbered as ``core.residue_labels`` numbers
+    the residues.
 
-    Helper shared by genus_wrt and the induced (deleted-color) orders of
-    subgenus computations; ``seq`` need not be in canonical form.
+    Read off g's own labels, with no residue gem built: each {i, j}-cycle
+    lies in one residue, so one vertex's labels map it there.  Only a
+    half-integral rho needs the residue's two-coloring.
     """
-    core.require_connected(g)
     k = len(seq)
-    n = k - 1
-    p_half = g.order // 2
-    total = sum(core.residue_count(g, (seq[i], seq[(i + 1) % k])) for i in range(k))
-    val = 2 - total - (1 - n) * p_half
-    rho = Fraction(val, 2)
-    if rho < 0:
-        raise StructuralError(f"negative genus {rho}: input is not a gem")
-    if core.is_bipartite(g) and rho.denominator != 1:
-        raise InternalConsistencyError(f"bipartite graph with half-integral genus {rho}")
-    return rho
+    key = core.checked_key(g, seq)
+    labels, count = core.residue_labels(g, key)
+    size, cycles = Counter(labels), Counter()
+    for i in range(k):
+        pair = core.residue_key((seq[i], seq[(i + 1) % k]))
+        cycles.update(dict(zip(core.residue_labels(g, pair)[0], labels)).values())
+    out = []
+    for lab in range(count):
+        rho = Fraction(2 - cycles[lab] + (k - 2) * (size[lab] // 2), 2)
+        if rho < 0:
+            raise StructuralError(f"negative genus {rho}: input is not a gem")
+        if rho.denominator != 1 and core.two_coloring(
+                [g.matchings[c] for c in key], labels.index(lab)) is not None:
+            raise InternalConsistencyError(f"bipartite graph with half-integral genus {rho}")
+        out.append(rho)
+    return tuple(out)
+
+
+def genus_of_sequence(g: core.ColoredGraph, seq: tuple[int, ...]) -> Fraction:
+    """rho of the connected g with respect to a cyclic sequence of its colors,
+    canonical or not: the one-residue case of ``residue_genera``."""
+    core.require_connected(g)
+    return residue_genera(g, seq)[0]
 
 
 def genus_wrt(g: core.ColoredGraph, eps) -> Fraction:
@@ -118,12 +134,7 @@ def subgenus(g: core.ColoredGraph, eps, i: int) -> Fraction:
     perm = as_permutation(g, eps)
     if not 0 <= i < perm.n_colors:
         raise StructuralError("subgenus position out of range")
-    sub_seq = perm.delete(i)
-    total = Fraction(0)
-    for res in core.extract_residues(g, sub_seq):
-        pos = {c: idx for idx, c in enumerate(res.key)}
-        total += genus_of_sequence(res.graph, tuple(pos[c] for c in sub_seq))
-    return total
+    return sum(residue_genera(g, perm.delete(i)), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -94,10 +94,9 @@ def classify_surface(g: core.ColoredGraph):
     return genus.genus_wrt(g, eps), core.is_bipartite(g)
 
 
-def _surface_certificate(g: core.ColoredGraph) -> SphereCertificate:
-    """Sphere certificate of a 3-colored gem: a 2-sphere exactly when its
-    genus is 0."""
-    rho, _ = classify_surface(g)
+def _surface_certificate(rho: Fraction) -> SphereCertificate:
+    """Sphere certificate of a surface of genus rho: a 2-sphere exactly when
+    rho is 0."""
     if rho == 0:
         return SphereCertificate(CERTIFIED_SPHERE, "genus-zero")
     return SphereCertificate(CERTIFIED_NONSPHERE, "genus-zero",
@@ -127,7 +126,7 @@ def sphere_certificate(g: core.ColoredGraph) -> SphereCertificate:
     if k == 2:
         return SphereCertificate(CERTIFIED_SPHERE, "genus-zero")
     if k == 3:
-        return _surface_certificate(g)
+        return _surface_certificate(classify_surface(g)[0])
     mc = check_closed_manifold(g)
     if mc.verdict != f"closed-{k - 1}-manifold":
         return SphereCertificate(
@@ -193,8 +192,8 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
         # every residue over 3 colors must be a 2-sphere, equivalently
         # every hat-residue represents a closed (n-1)-manifold.
         for triple in itertools.combinations(range(k), 3):
-            for r in core.extract_residues(g, triple):
-                cert = _surface_certificate(r.graph)
+            for rho in genus.residue_genera(g, triple):
+                cert = _surface_certificate(rho)
                 if cert.status != CERTIFIED_SPHERE:
                     return ManifoldClass(
                         verdict=NOT_A_MANIFOLD, dimension=n, singular_colors=(),
@@ -207,13 +206,9 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
                 if not sub.is_manifold or sub.singular_colors:
                     return ManifoldClass(verdict=NOT_A_MANIFOLD, dimension=n,
                                          singular_colors=(), conditional=False)
-    # hat-residues: surfaces when k = 4, certified recursively above
-    certify = _surface_certificate if k == 4 else sphere_certificate
-    singular = []
-    certs = []
+    singular, certs = [], []
     for c in g.colors:
-        col = tuple(certify(r.graph)
-                    for r in core.extract_residues(g, core.complement_key((c,), k)))
+        col = _hat_certificates(g, core.complement_key((c,), k))
         if any(s.status == CERTIFIED_NONSPHERE for s in col):
             singular.append(c)
         certs.append((c, col))
@@ -224,6 +219,27 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
     conditional = any(s.status == UNKNOWN for _, col in certs for s in col)
     return ManifoldClass(verdict=verdict, dimension=n, singular_colors=tuple(singular),
                          conditional=conditional, certificates=tuple(certs))
+
+
+def _hat_certificates(g: core.ColoredGraph, key) -> tuple[SphereCertificate, ...]:
+    """Certificates of the ``key``-residues of g, ``key`` lacking one color.
+    At k = 5 each is an unconditional closed 3-manifold (its 3-residues are
+    certified spheres), so its first genus-zero order, read off g through
+    ``key``, is what ``sphere_certificate`` would give; only a residue with
+    none is built as a gem."""
+    if len(key) == 3:
+        return tuple(map(_surface_certificate, genus.residue_genera(g, key)))
+    if len(key) > 4:
+        return tuple(sphere_certificate(r.graph) for r in core.extract_residues(g, key))
+    labels, count = core.residue_labels(g, key)
+    found = [None] * count
+    for eps in genus.all_cyclic_permutations(4):
+        for i, rho in enumerate(genus.residue_genera(g, [key[j] for j in eps.seq])):
+            if rho == 0 and found[i] is None:
+                found[i] = SphereCertificate(CERTIFIED_SPHERE, "genus-zero", detail=str(eps))
+    return tuple(cert or sphere_certificate(core.residue_graph(
+        g.matchings, key, [v for v, lab in enumerate(labels) if lab == i]))
+        for i, cert in enumerate(found))
 
 
 @core.memo
