@@ -77,11 +77,8 @@ def genus_subgenus_residuals(g: core.ColoredGraph, eps) -> tuple[Fraction, ...]:
     rho = report.rho[eps]
     sub = report.subgenera[eps]
     t = t_values(g)
-    s = eps.seq
-    out = []
-    for i in range(5):
-        triple = tuple(sorted((s[(i - 1) % 5], s[(i + 1) % 5], s[(i + 3) % 5])))
-        out.append(rho - sub[i] - sub[(i + 2) % 5] - t[triple])
+    skew = skew_triples(eps)  # position i's triple is the skew triple at i - 1
+    out = [rho - sub[i] - sub[(i + 2) % 5] - t[skew[i - 1]] for i in range(5)]
     if cert.status == "trivial" and any(r != 0 for r in out):
         raise InternalConsistencyError(
             f"nonzero genus/subgenus residuals {out} at {eps}")

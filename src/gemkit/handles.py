@@ -12,9 +12,10 @@ collapses to an undotted framed link.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
-from . import core, genus, invariants, recognition
+from . import classification, core, genus, invariants, recognition
 from .errors import InternalConsistencyError, StructuralError
 
 NO_ONE_HANDLES = "no-1-handles"
@@ -56,9 +57,20 @@ class HypothesisWitness:
 
 
 def pair_condition(g: core.ColoredGraph, a: int, b: int) -> bool:
-    """Whether the 5-colored gem g has exactly one residue missing colors
-    a and b."""
-    return core.residue_count(g, core.complement_key((a, b), 5)) == 1
+    """Whether the 5-colored crystallization g has exactly one residue
+    missing colors a and b: t = 0 at the complementary triple."""
+    t = classification.t_values(g)
+    if a == b or not {a, b} <= set(range(5)):
+        raise StructuralError(f"a pair of distinct colors 0-4 is needed, got {a}, {b}")
+    return t[core.complement_key((a, b), 5)] == 0
+
+
+def _check_witness(g: core.ColoredGraph, w: HypothesisWitness) -> None:
+    """Refuse a witness whose order (i, j, r, k, l) disagrees with its pair
+    {i, j} and pivot k, or whose two pivot conditions do not hold on g."""
+    if (w.permutation[:2], w.permutation[3]) != (w.pair, w.pivot) \
+            or not all(pair_condition(g, c, w.pivot) for c in w.pair):
+        raise StructuralError("witness conditions do not hold on this graph")
 
 
 def find_hypothesis_witnesses(g: core.ColoredGraph) -> tuple[HypothesisWitness, ...]:
@@ -81,14 +93,10 @@ def find_hypothesis_witnesses(g: core.ColoredGraph) -> tuple[HypothesisWitness, 
                 continue  # boundary case: pattern colors must be non-singular
             last = s if s is not None else max(free)
             r = free[0] if free[1] == last else free[1]
-            eps = (i, j, r, pivot, last)
-            out.append(HypothesisWitness(
-                kind=NO_ONE_HANDLES, pair=(i, j), pivot=pivot, free_pair=free,
-                boundary_case=s is not None, permutation=eps))
-            if pair_condition(g, *free):
-                out.append(HypothesisWitness(
-                    kind=SPECIAL, pair=(i, j), pivot=pivot, free_pair=free,
-                    boundary_case=s is not None, permutation=eps))
+            kinds = (NO_ONE_HANDLES, SPECIAL) if pair_condition(g, *free) else (NO_ONE_HANDLES,)
+            out += [HypothesisWitness(kind=kind, pair=(i, j), pivot=pivot, free_pair=free,
+                                      boundary_case=s is not None,
+                                      permutation=(i, j, r, pivot, last)) for kind in kinds]
     return tuple(out)
 
 
@@ -131,28 +139,20 @@ def _boundary_h1(g: core.ColoredGraph, s: int) -> str:
 def handle_profile(g: core.ColoredGraph, w: HypothesisWitness) -> HandleProfile:
     """Handle decomposition induced by a witness: one 0-handle, no
     1-handles, beta2 + t 2-handles, t 3-handles (t = the witness triple's
-    residue defect, forced to 0 for the special kind) and, in the closed
-    case, one 4-handle."""
-    recognition.require_crystallization(g)
-    if not (pair_condition(g, w.pair[0], w.pivot)
-            and pair_condition(g, w.pair[1], w.pivot)):
-        raise StructuralError("witness conditions do not hold on this graph")
+    residue defect, 0 for the special kind, whose free pair's complement is
+    the triple) and, in the closed case, one 4-handle."""
+    _check_witness(g, w)
     if w.kind == SPECIAL and not pair_condition(g, *w.free_pair):
         raise StructuralError("special witness condition does not hold")
     beta2 = invariants.beta2_via_genus(g)
-    t = core.residue_count(g, w.triple) - 1
-    if w.kind == SPECIAL and t != 0:
-        raise InternalConsistencyError(
-            f"special witness with nonzero triple defect t = {t}")
+    t = classification.t_values(g)[w.triple]
     closed = not w.boundary_case
     if w.kind == SPECIAL:
         target = "S^3" if closed else "boundary(M^4)"
     else:
         target = f"#_{t}(S^2 x S^1)" if closed \
             else f"#_{t}(S^2 x S^1) # boundary(M^4)"
-    boundary_h1 = None
-    if w.boundary_case:
-        boundary_h1 = _boundary_h1(g, w.permutation[-1])
+    boundary_h1 = _boundary_h1(g, w.permutation[-1]) if w.boundary_case else None
     return HandleProfile(h0=1, h1=0, h2=beta2 + t, h3=t,
                          h4=1 if closed else 0, s=t,
                          link_undotted=beta2 + t, link_dotted=0,
@@ -168,7 +168,7 @@ def subgenus_target(g: core.ColoredGraph, j: int, k: int, s: int):
     defect vanishes and the subgenus is beta2 exactly.  Returns
     (value, permutation).
     """
-    recognition.require_crystallization(g)
+    t = classification.t_values(g)
     top = recognition.top_color(g)
     lower = sorted(set(range(5)) - {top})
     if j == k or j not in lower or k not in lower:
@@ -182,13 +182,10 @@ def subgenus_target(g: core.ColoredGraph, j: int, k: int, s: int):
     perm = genus.CyclicPermutation.canonical(eps)
     value = genus.genus_all(g).subgenera[perm][perm.seq.index(s)]
     beta2 = invariants.beta2_via_genus(g)
-    t = core.residue_count(g, tuple(sorted((s, j, k)))) - 1
-    if value != beta2 + t:
+    defect = t[tuple(sorted((s, j, k)))]
+    if value != beta2 + defect:
         raise InternalConsistencyError(
-            f"subgenus {value} != beta2 + t = {beta2} + {t} at {eps}")
-    if pair_condition(g, r, top) and value != beta2:
-        raise InternalConsistencyError(
-            f"free-pair condition holds but subgenus {value} != beta2 {beta2}")
+            f"subgenus {value} != beta2 + t = {beta2} + {defect} at {eps}")
     return int(value), eps
 
 
@@ -201,6 +198,8 @@ class CollapseTrace:
     edge supports only one remaining triangle collapse away (smallest index
     first, never emptying the complex); what remains is rho + h triangles
     over h edges with triangle multiplicities r_i summing to rho + h.
+    Collapsing a triangle empties only its own edge, so the schedule is the
+    triangles free at the start, less the last when all of them are.
     """
 
     permutation: tuple[int, ...]
@@ -229,14 +228,11 @@ def collapse_2skeleton(g: core.ColoredGraph, w: HypothesisWitness) -> CollapseTr
     """Run the elementary collapses licensed by a witness and verify the
     counting identities relating triangles, edges and the deleted-start
     subgenus."""
-    recognition.require_crystallization(g)
-    e0, e1, e2, e3, e4 = w.permutation
-    if not (pair_condition(g, e0, e3) and pair_condition(g, e1, e3)):
-        raise StructuralError("witness conditions do not hold on this graph")
+    _check_witness(g, w)
+    e0, e1, e2, _, e4 = w.permutation
     tri_labels, tri_count = core.residue_labels(g, (e2, e4))
-    edge_labels, edge_count = core.residue_labels(
-        g, core.complement_key((e0, e1), 5))
-    edge_of = {t: edge_labels[v] for t, v in enumerate(core.residue_roots(tri_labels))}
+    edge_labels, edge_count = core.residue_labels(g, core.complement_key((e0, e1), 5))
+    edge_of = [edge_labels[v] for v in core.residue_roots(tri_labels)]
 
     eps = genus.CyclicPermutation.canonical(w.permutation)
     rho = genus.genus_all(g).subgenera[eps][eps.seq.index(e0)]
@@ -248,34 +244,24 @@ def collapse_2skeleton(g: core.ColoredGraph, w: HypothesisWitness) -> CollapseTr
             f"triangle/edge counts {tri_count}/{edge_count} do not split as "
             f"edges + subgenus {rho}")
 
-    remaining = set(range(tri_count))
-    schedule = []
-    while len(remaining) > 1:
-        per_edge: dict[int, int] = {}
-        for t in remaining:
-            per_edge[edge_of[t]] = per_edge.get(edge_of[t], 0) + 1
-        free = sorted(t for t in remaining if per_edge[edge_of[t]] == 1)
-        if not free:
-            break
-        t = free[0]
-        remaining.remove(t)
-        schedule.append(t)
-
-    per_edge = {}
-    for t in remaining:
-        per_edge[edge_of[t]] = per_edge.get(edge_of[t], 0) + 1
+    per_edge = Counter(edge_of)
+    free = [t for t, e in enumerate(edge_of) if per_edge[e] == 1]
+    schedule = free[:-1] if len(free) == tri_count else free
+    for t in schedule:
+        del per_edge[edge_of[t]]
+    remaining = tri_count - len(schedule)
     h = len(per_edge)
     mult = tuple(sorted(per_edge.values()))
-    if sum(mult) != len(remaining) or len(remaining) - h != rho:
+    if sum(mult) != remaining or remaining - h != rho:
         raise InternalConsistencyError(
-            f"collapse identity failed: {len(remaining)} triangles over {h} "
+            f"collapse identity failed: {remaining} triangles over {h} "
             f"edges with subgenus {rho}")
     if not 1 <= h <= edge_count:
         raise InternalConsistencyError(f"edge survivor count {h} out of range")
     return CollapseTrace(permutation=w.permutation,
                          initial_triangles=tri_count, initial_edges=edge_count,
                          schedule=tuple(schedule),
-                         remaining_triangles=len(remaining), remaining_edges=h,
+                         remaining_triangles=remaining, remaining_edges=h,
                          multiplicities=mult, rho=rho)
 
 

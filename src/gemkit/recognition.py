@@ -103,10 +103,18 @@ def _surface_certificate(rho: Fraction) -> SphereCertificate:
                              detail=f"surface genus {genus.fraction_json(rho)}")
 
 
-def _genus_zero_order(g: core.ColoredGraph):
-    """The first cyclic order at which g has genus 0, or None."""
-    return next((eps for eps in genus.all_cyclic_permutations(g.n_colors)
-                 if genus.genus_wrt(g, eps) == 0), None)
+def _genus_zero_orders(g: core.ColoredGraph, key) -> list:
+    """Per ``key``-residue of g, numbered as ``core.residue_labels`` numbers
+    them, the first cyclic order of ``key`` at which it has genus 0, or
+    None; read off g, and stopped once every residue has one."""
+    found = [None] * core.residue_count(g, key)
+    for eps in genus.all_cyclic_permutations(len(key)):
+        for i, rho in enumerate(genus.residue_genera(g, [key[j] for j in eps.seq])):
+            if rho == 0 and found[i] is None:
+                found[i] = eps
+        if None not in found:
+            break
+    return found
 
 
 @core.memo
@@ -135,13 +143,13 @@ def sphere_certificate(g: core.ColoredGraph) -> SphereCertificate:
     if mc.conditional:
         # closed-manifold-hood itself rests on unknowns; claim nothing
         return SphereCertificate(UNKNOWN, None)
-    eps = _genus_zero_order(g)
+    eps = _genus_zero_orders(g, g.colors)[0]
     if eps is not None:
         return SphereCertificate(CERTIFIED_SPHERE, "genus-zero", detail=str(eps))
     reduced = core.reduce(g)
     if reduced.order == 2:
         return SphereCertificate(CERTIFIED_SPHERE, "dipole-reduction-to-order-2")
-    eps = _genus_zero_order(reduced) if reduced is not g else None
+    eps = _genus_zero_orders(reduced, reduced.colors)[0] if reduced is not g else None
     if eps is not None:
         return SphereCertificate(CERTIFIED_SPHERE, "genus-zero",
                                  detail=f"after reduction, {eps}")
@@ -223,23 +231,17 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
 
 def _hat_certificates(g: core.ColoredGraph, key) -> tuple[SphereCertificate, ...]:
     """Certificates of the ``key``-residues of g, ``key`` lacking one color.
-    At k = 5 each is an unconditional closed 3-manifold (its 3-residues are
-    certified spheres), so its first genus-zero order, read off g through
-    ``key``, is what ``sphere_certificate`` would give; only a residue with
-    none is built as a gem."""
+    A residue with a genus-zero order is an unconditional closed manifold
+    (a subgenus is at most the genus, so its own residues have genus 0 too),
+    and its first such order, read off g, is what ``sphere_certificate``
+    would give; only a residue with none is built as a gem."""
     if len(key) == 3:
         return tuple(map(_surface_certificate, genus.residue_genera(g, key)))
-    if len(key) > 4:
-        return tuple(sphere_certificate(r.graph) for r in core.extract_residues(g, key))
-    labels, count = core.residue_labels(g, key)
-    found = [None] * count
-    for eps in genus.all_cyclic_permutations(4):
-        for i, rho in enumerate(genus.residue_genera(g, [key[j] for j in eps.seq])):
-            if rho == 0 and found[i] is None:
-                found[i] = SphereCertificate(CERTIFIED_SPHERE, "genus-zero", detail=str(eps))
-    return tuple(cert or sphere_certificate(core.residue_graph(
-        g.matchings, key, [v for v, lab in enumerate(labels) if lab == i]))
-        for i, cert in enumerate(found))
+    labels = core.residue_labels(g, key)[0]
+    return tuple(SphereCertificate(CERTIFIED_SPHERE, "genus-zero", detail=str(eps))
+                 if eps is not None else sphere_certificate(core.residue_graph(
+                     g.matchings, key, [v for v, lab in enumerate(labels) if lab == i]))
+                 for i, eps in enumerate(_genus_zero_orders(g, key)))
 
 
 @core.memo

@@ -133,3 +133,13 @@ def crystallization_corpus_order6():
 
     return [core.decode_code(r.code)
             for r in catalogue.enumerate_gems(5, 6, filters=("crystallization",))]
+
+
+@pytest.fixture(scope="session")
+def crystallization_corpus_order8():
+    """5-colored crystallizations up to order 8: the 37-record acceptance
+    corpus."""
+    from gemkit import catalogue
+
+    return [core.decode_code(r.code)
+            for r in catalogue.enumerate_gems(5, 8, filters=("crystallization",))]

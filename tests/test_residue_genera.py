@@ -241,6 +241,14 @@ def test_fixtures_and_their_doubles_match_the_oracle(small_manifold_corpus):
         assert_matches_oracle(g)
 
 
+def six_colored_inputs(seed: int) -> list[core.ColoredGraph]:
+    rng = random.Random(600 + seed)
+    return [random_gem(rng, 6, rng.randrange(2, 13, 2)),
+            double(random_gem(rng, 5, rng.randrange(2, 9, 2))),
+            double(random_relabel(random_augment(fixtures.cp2(), rng, rng.randint(1, 3)), rng)),
+            random_relabel(random_augment(fixtures.sigma(6), rng, rng.randint(1, 6)), rng)]
+
+
 def test_six_colored_gem_matches_the_oracle():
     rng = random.Random(6)
     g = random_relabel(random_augment(fixtures.sigma(6), rng, 4), rng)
@@ -248,6 +256,15 @@ def test_six_colored_gem_matches_the_oracle():
     assert repr(recognition.check_closed_manifold(g)) == repr(oracle_check(g))
     assert repr(recognition.check_closed_manifold(double(fixtures.cp2()))) == \
         repr(oracle_check(double(fixtures.cp2())))
+    # 5-colored hat-residues read their genus-zero orders off g, as at k = 5
+    verdicts = set()
+    for seed in range(10):
+        for g in six_colored_inputs(seed):
+            assert g.n_colors == 6
+            mc = recognition.check_closed_manifold(g)
+            assert repr(mc) == repr(oracle_check(g))
+            verdicts.add(mc.verdict)
+    assert {recognition.NOT_A_MANIFOLD, "closed-5-manifold"} <= verdicts
 
 
 def test_residue_genera_refuses_colors_out_of_range():
