@@ -230,8 +230,18 @@ def residue_labels(g: ColoredGraph, key: tuple[int, ...]) -> tuple[tuple[int, ..
     Returns ``(labels, count)`` where labels[v] is the component id of v,
     ids numbered 0.. in order of first appearance by vertex index.
     """
-    return join_classes(range(g.order), [(v, w) for c in key
-                                         for v, w in enumerate(g.matchings[c]) if v < w])
+    rows = [g.matchings[c] for c in key]
+    labels, count = [-1] * g.order, 0
+    for start in range(g.order):
+        if labels[start] < 0:
+            labels[start], queue = count, [start]
+            for x in queue:
+                for row in rows:
+                    if labels[y := row[x]] < 0:
+                        labels[y] = count
+                        queue.append(y)
+            count += 1
+    return tuple(labels), count
 
 
 def residue_roots(labels) -> tuple[int, ...]:
@@ -595,12 +605,12 @@ def _dipole_properness(rows, comp, u: int, v: int) -> bool | None:
     # at v, represents a sphere; certification delegated to recognition.
     from . import recognition
 
-    certs = [recognition.sphere_certificate(_residue_at(rows, comp, x)) for x in (u, v)]
-    if any(c.status == recognition.CERTIFIED_SPHERE for c in certs):
-        return True
-    if all(c.status == recognition.CERTIFIED_NONSPHERE for c in certs):
-        return False
-    return None
+    statuses = set()
+    for x in (u, v):  # v's residue is certified only if u's is no sphere
+        statuses.add(recognition.sphere_certificate(_residue_at(rows, comp, x)).status)
+        if recognition.CERTIFIED_SPHERE in statuses:
+            return True
+    return False if statuses == {recognition.CERTIFIED_NONSPHERE} else None
 
 
 def find_dipoles(g: ColoredGraph) -> tuple[Dipole, ...]:
@@ -734,7 +744,11 @@ def reduce(g: ColoredGraph) -> ColoredGraph:
     residues that merge can change a certificate.
     """
     require_connected(g)
-    certify = _needs_certification(g)
+    return reduce_dipoles(g, _needs_certification(g))
+
+
+def reduce_dipoles(g: ColoredGraph, certify: bool) -> ColoredGraph:
+    """``reduce``'s loop; ``certify`` False vouches every dipole is proper."""
     rows = [list(row) for row in g.matchings]
     alive = [True] * g.order
     queued = {(u, v) for row in rows for u, v in enumerate(row) if u < v}

@@ -146,7 +146,12 @@ def sphere_certificate(g: core.ColoredGraph) -> SphereCertificate:
     eps = _genus_zero_orders(g, g.colors)[0]
     if eps is not None:
         return SphereCertificate(CERTIFIED_SPHERE, "genus-zero", detail=str(eps))
-    reduced = core.reduce(g)
+    return _reduction_certificate(g)
+
+
+def _reduction_certificate(g: core.ColoredGraph) -> SphereCertificate:
+    """``sphere_certificate`` from its reduction on; every dipole of g is proper."""
+    reduced = core.reduce_dipoles(g, certify=False)
     if reduced.order == 2:
         return SphereCertificate(CERTIFIED_SPHERE, "dipole-reduction-to-order-2")
     eps = _genus_zero_orders(reduced, reduced.colors)[0] if reduced is not g else None
@@ -232,14 +237,15 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
 def _hat_certificates(g: core.ColoredGraph, key) -> tuple[SphereCertificate, ...]:
     """Certificates of the ``key``-residues of g, ``key`` lacking one color.
     A residue with a genus-zero order is an unconditional closed manifold
-    (a subgenus is at most the genus, so its own residues have genus 0 too),
-    and its first such order, read off g, is what ``sphere_certificate``
-    would give; only a residue with none is built as a gem."""
+    (its residues' genera are at most its own), and ``sphere_certificate``
+    gives its first such order, read here off g.  One with none is built,
+    and at k = 5 (its 3-residues are g's, just certified) reduced at once."""
     if len(key) == 3:
         return tuple(map(_surface_certificate, genus.residue_genera(g, key)))
     labels = core.residue_labels(g, key)[0]
+    certify = _reduction_certificate if len(key) == 4 else sphere_certificate
     return tuple(SphereCertificate(CERTIFIED_SPHERE, "genus-zero", detail=str(eps))
-                 if eps is not None else sphere_certificate(core.residue_graph(
+                 if eps is not None else certify(core.residue_graph(
                      g.matchings, key, [v for v, lab in enumerate(labels) if lab == i]))
                  for i, eps in enumerate(_genus_zero_orders(g, key)))
 

@@ -95,6 +95,19 @@ def random_recolor(g: core.ColoredGraph, rng: random.Random) -> core.ColoredGrap
     return g.recolor(perm)
 
 
+def random_matchings(rng: random.Random, n_colors: int, order: int) -> core.ColoredGraph:
+    """One random perfect matching per color: a gem, connected or not."""
+    rows = []
+    for _ in range(n_colors):
+        verts = list(range(order))
+        rng.shuffle(verts)
+        row = [0] * order
+        for a, b in zip(verts[::2], verts[1::2]):
+            row[a], row[b] = b, a
+        rows.append(row)
+    return core.ColoredGraph(rows)
+
+
 def random_augment(g: core.ColoredGraph, rng: random.Random,
                    steps: int) -> core.ColoredGraph:
     """Pile proper dipoles onto g (any sizes, random sites)."""

@@ -7,7 +7,7 @@ from gemkit import core, fixtures, invariants
 from gemkit.errors import GemFormatError, StructuralError
 
 from conftest import (brute_force_isomorphic, chi_by_counting, fpf_involutions,
-                      random_augment, random_recolor, random_relabel)
+                      random_augment, random_matchings, random_recolor, random_relabel)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +343,29 @@ def test_gem_file_io(tmp_path):
 def test_join_classes_numbers_by_first_appearance():
     assert core.join_classes((0, 1, 2, 3, 4), [(3, 1), (4, 0)]) == ((0, 1, 2, 1, 0), 3)
     assert core.join_classes((0, 0, 1, 2), [(2, 3)]) == ((0, 0, 1, 1), 2)
+
+
+def union_find_labels(g, key):
+    """The oracle: the components of the ``key``-colored subgraph joined
+    pair by pair through `join_classes`' union-find."""
+    return core.join_classes(range(g.order), [(v, w) for c in key
+                                              for v, w in enumerate(g.matchings[c]) if v < w])
+
+
+def test_residue_labels_match_the_union_find_oracle():
+    rng = random.Random(14)
+    gems = []
+    for k in range(2, 7):
+        gems += [random_matchings(rng, k, rng.randrange(2, 25, 2)) for _ in range(8)]
+        h = random_relabel(random_augment(fixtures.sigma(k), rng, 3), rng)
+        gems += [h, core.disjoint_union(h, random_matchings(rng, k, 6))]
+    connected = set()
+    for g in gems:
+        connected.add(core.is_connected(g))
+        for size in range(1, g.n_colors + 1):
+            for key in itertools.combinations(g.colors, size):
+                assert core.residue_labels(g, key) == union_find_labels(g, key)
+    assert connected == {True, False}
 
 
 def test_residue_roots_are_least_vertices():

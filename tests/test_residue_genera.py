@@ -23,7 +23,7 @@ import pytest
 from gemkit import core, fixtures, genus, invariants, recognition
 from gemkit.errors import InternalConsistencyError, StructuralError
 
-from conftest import random_augment, random_relabel
+from conftest import random_augment, random_matchings, random_relabel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -171,15 +171,7 @@ def oracle_check(g: core.ColoredGraph) -> recognition.ManifoldClass:
 def random_gem(rng: random.Random, n_colors: int, order: int) -> core.ColoredGraph:
     """A seeded random connected gem: one random perfect matching per color."""
     while True:
-        rows = []
-        for _ in range(n_colors):
-            verts = list(range(order))
-            rng.shuffle(verts)
-            row = [0] * order
-            for a, b in zip(verts[::2], verts[1::2]):
-                row[a], row[b] = b, a
-            rows.append(tuple(row))
-        g = core.ColoredGraph(tuple(rows))
+        g = random_matchings(rng, n_colors, order)
         if core.is_connected(g):
             return g
 
@@ -282,26 +274,67 @@ def test_manifold_check_builds_no_surface_gem(monkeypatch):
     assert g.order == 48
     for memo in core.MEMOS:
         memo.cache_clear()
-    built, certified = [], []
+    built, hats, certified, checked = [], [], [], []
     residue_graph, sphere_certificate = core.residue_graph, recognition.sphere_certificate
+    check_closed_manifold = recognition.check_closed_manifold
 
     def counting_residue_graph(rows, key, verts):
         built.append(len(key))
-        return residue_graph(rows, key, verts)
+        h = residue_graph(rows, key, verts)
+        if rows is g.matchings:  # not the renumbering that ends a reduction
+            hats.append(h)
+        return h
 
     def counting_sphere_certificate(h):
         certified.append(h)
         return sphere_certificate(h)
 
+    def counting_check(h):
+        checked.append(h)
+        return check_closed_manifold(h)
+
     monkeypatch.setattr(core, "residue_graph", counting_residue_graph)
     monkeypatch.setattr(recognition, "sphere_certificate", counting_sphere_certificate)
+    monkeypatch.setattr(recognition, "check_closed_manifold", counting_check)
     mc = recognition.check_closed_manifold(g)
     assert mc.verdict == "closed-4-manifold" and not mc.conditional
     assert built.count(3) == 0
+    # the built hat-residues are reduced at once: no manifold check or
+    # sphere recognition of their own
+    assert len(checked) == 1 and certified == []
     # a hat-residue is built only when it has no genus-zero order
-    for h in certified:
+    assert hats
+    for h in hats:
         assert h.n_colors == 4
         assert all(genus.genus_wrt(h, eps) > 0 for eps in genus.all_cyclic_permutations(4))
+
+
+def test_hat_certificates_match_sphere_certificate_on_the_built_residue():
+    # a 4-colored hat-residue with no genus-zero order is reduced without its
+    # own manifold check; `sphere_certificate` on the built residue, every
+    # memo emptied first, must give the same certificate
+    rng = random.Random(14)
+    gems = [g for seed in range(20) for g in oracle_inputs(seed) if g.n_colors == 5]
+    gems += [random_relabel(random_augment(base, rng, rng.randint(5, 20)), rng)
+             for base in FIXTURES_5 for _ in range(2)]
+    gems += [double(random_relabel(random_augment(fixtures.cp2(), rng, 3), rng)),
+             random_relabel(random_augment(fixtures.sigma(6), rng, 6), rng)]
+    methods = set()
+    for g in gems:
+        mc = recognition.check_closed_manifold(g)
+        if mc.verdict == recognition.NOT_A_MANIFOLD:
+            continue
+        for c, certs in mc.certificates:
+            residues = core.extract_residues(g, core.complement_key((c,), g.n_colors))
+            assert len(residues) == len(certs)
+            for r, cert in zip(residues, certs):
+                for memo in core.MEMOS:
+                    memo.cache_clear()
+                assert repr(recognition.sphere_certificate(r.graph)) == repr(cert)
+                methods.add((g.n_colors, cert.status, cert.method))
+    assert {(5, recognition.CERTIFIED_SPHERE, "dipole-reduction-to-order-2"),
+            (5, recognition.CERTIFIED_NONSPHERE, "homology-obstruction"),
+            (6, recognition.CERTIFIED_SPHERE, "dipole-reduction-to-order-2")} <= methods
 
 
 # ---------------------------------------------------------------------------
