@@ -511,9 +511,18 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
     meta_path = Path(resume_meta) if resume_meta else Path(str(path) + ".meta")
 
     if resume_meta and meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        try:
+            meta = json.loads(core.read_text(meta_path))
+        except (ValueError, RecursionError) as exc:
+            raise GemFormatError(f"bad meta file {meta_path}: {exc}") from exc
+        if not (isinstance(meta, dict) and isinstance(meta.get("params"), dict)
+                and isinstance(meta.get("shards"), dict)
+                and all(isinstance(code, str) for codes in meta["shards"].values()
+                        if isinstance(codes, list) for code in codes)):
+            raise GemFormatError(f"{meta_path} is not a catalogue meta object: it "
+                                 "needs a params object and shards of string codes")
         params = meta["params"]
-        if (params["n_colors"], params["max_order"], params["filters"]) != \
+        if (params.get("n_colors"), params.get("max_order"), params.get("filters")) != \
                 (n_colors, max_order, list(filters)):
             raise StructuralError("resume parameters differ from the checkpointed run")
         meta["schema"] = META_SCHEMA
@@ -548,13 +557,8 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
 
 
 def read_catalogue(path) -> list[CatalogueRecord]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(CatalogueRecord.from_json_line(line))
-    return out
+    lines = (line.strip() for line in core.read_text(path).split("\n"))
+    return [CatalogueRecord.from_json_line(line) for line in lines if line]
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +589,15 @@ class _Skip(Exception):
 def verify_record(rec: CatalogueRecord) -> dict[str, str]:
     """Replay every applicable invariant on one record.
 
-    Returns check -> "pass" | "fail: reason" | "skip".
+    Returns check -> "pass" | "fail: reason" | "skip".  A gate that raises
+    (the crystallization test, the pi1 certificate) fails every check not
+    yet run with its message.
     """
     out = {name: "skip" for name in CHECKS}
+    ran = set()
 
     def run(name, fn):
+        ran.add(name)
         try:
             fn()
             out[name] = "pass"
@@ -597,6 +605,14 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
             out[name] = "skip"
         except Exception as exc:  # noqa: BLE001 - verification must report, not die
             out[name] = f"fail: {exc}"
+
+    def gate(fn):
+        """``fn()``, or None when it raised."""
+        try:
+            return fn()
+        except Exception as exc:  # noqa: BLE001 - verification must report, not die
+            out.update((name, f"fail: {exc}") for name in CHECKS if name not in ran)
+            return None
 
     try:
         g = core.decode_code(rec.code)
@@ -624,14 +640,14 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
 
     if g.n_colors < 3:
         return out
-    mc = recognition.check_closed_manifold(g)
 
     def chk_mc():
-        if rec.manifold and mc.verdict != rec.manifold.get("verdict"):
+        verdict = recognition.check_closed_manifold(g).verdict
+        if rec.manifold and verdict != rec.manifold.get("verdict"):
             raise InternalConsistencyError("manifold verdict drifted")
     run("manifold-verdict", chk_mc)
 
-    if g.n_colors != 5 or not recognition.is_crystallization(g)[0]:
+    if g.n_colors != 5 or not gate(lambda: recognition.is_crystallization(g)[0]):
         return out
     run("euler-permutation-independent", lambda: invariants.euler_via_genus(g))
     run("homology-dual-oracle", lambda: invariants.homology(g))
@@ -648,8 +664,8 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
                         f"adjacent subgenera exceed the genus at {eps}")
     run("sibling-subgenus-bound", chk_sibling)
 
-    cert = invariants.pi1_certificate(g)
-    if cert.status != "trivial":
+    cert = gate(lambda: invariants.pi1_certificate(g))
+    if cert is None or cert.status != "trivial":
         return out
 
     def chk_residuals():
@@ -678,12 +694,9 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
     run("subgenus-pinned", chk_subgenus_target)
 
     def chk_collapse():
-        ws = handles.find_hypothesis_witnesses(g)
-        if not ws:
+        # the report runs every witness's profile and collapse identities
+        if not handles.handles_report(g).witnesses:
             raise _Skip
-        for w in ws:
-            handles.collapse_2skeleton(g, w)
-            handles.handle_profile(g, w)
     run("collapse-identity", chk_collapse)
     return out
 

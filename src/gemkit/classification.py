@@ -63,6 +63,7 @@ def detect_simple(g: core.ColoredGraph) -> bool:
     return all(v == 0 for v in t_values(g).values())
 
 
+@core.memo
 def genus_subgenus_residuals(g: core.ColoredGraph, eps) -> tuple[Fraction, ...]:
     """The five residuals rho - rho(drop i) - rho(drop i+2) - t(skew triple).
 
@@ -85,18 +86,19 @@ def genus_subgenus_residuals(g: core.ColoredGraph, eps) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def weak_simple_consistency(g: core.ColoredGraph) -> list[genus.CyclicPermutation]:
+@core.memo
+def weak_simple_consistency(g: core.ColoredGraph) -> tuple[genus.CyclicPermutation, ...]:
     """Cross-check the two characterizations of weak-simple orders.
 
     The set of orders with all skew-triple counts 1 must equal the set of
     orders whose five subgenera each take half the genus; returns the
     common witness set.
     """
-    witnesses = detect_weak_simple(g)
+    witnesses = tuple(detect_weak_simple(g))
     report = genus.genus_all(g)
-    by_subgenus = [eps for eps in genus.all_cyclic_permutations(5)
-                   if all(v == Fraction(report.rho[eps], 2)
-                          for v in report.subgenera[eps])]
+    by_subgenus = tuple(eps for eps in genus.all_cyclic_permutations(5)
+                        if all(v == Fraction(report.rho[eps], 2)
+                               for v in report.subgenera[eps]))
     if witnesses != by_subgenus:
         raise InternalConsistencyError(
             f"weak-simple characterizations disagree: {list(map(str, witnesses))} "
@@ -132,6 +134,7 @@ class BoundsReport:
         }
 
 
+@core.memo
 def check_bounds(g: core.ColoredGraph) -> BoundsReport:
     """Compare the regular genus with twice the second Betti number.
 
@@ -204,5 +207,5 @@ def classification_report(g: core.ColoredGraph) -> ClassificationReport:
         genus_subgenus_residuals(g, eps)
     bounds = check_bounds(g)
     return ClassificationReport(t=t_values(g), simple=simple,
-                                weak_simple_witnesses=tuple(witnesses),
+                                weak_simple_witnesses=witnesses,
                                 bounds=bounds, conditional=bounds.conditional)

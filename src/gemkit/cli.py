@@ -20,13 +20,6 @@ from .errors import (AnalysisRefused, GemFormatError, GemkitError,
 SCHEMA = "gemkit-report/1"
 
 
-def _load(path) -> core.ColoredGraph:
-    try:
-        return core.load_gem(path)
-    except OSError as exc:
-        raise GemFormatError(f"cannot read {path}: {exc}") from exc
-
-
 def _base_report(path, g: core.ColoredGraph) -> dict:
     return {
         "schema_version": SCHEMA,
@@ -67,7 +60,7 @@ def _render(report: dict, as_json: bool) -> str:
 
 
 def cmd_info(args) -> dict:
-    g = _load(args.path)
+    g = core.load_gem(args.path)
     report = _base_report(args.path, g)
     report["connected"] = core.is_connected(g)
     report["hat_residue_counts"] = {
@@ -83,7 +76,7 @@ def cmd_info(args) -> dict:
 
 
 def cmd_genus(args) -> dict:
-    g = _load(args.path)
+    g = core.load_gem(args.path)
     report = _base_report(args.path, g)
     full = genus.genus_all(g)
     section = full.to_json()
@@ -96,7 +89,7 @@ def cmd_genus(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    g = _load(args.path)
+    g = core.load_gem(args.path)
     report = _base_report(args.path, g)
     report["classification"] = classification.classification_report(g).to_json()
     _note_conditional(report, "classification")
@@ -104,7 +97,7 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_homology(args) -> dict:
-    g = _load(args.path)
+    g = core.load_gem(args.path)
     report = _base_report(args.path, g)
     report["homology"] = invariants.homology(g).to_json()
     _note_conditional(report, "homology")
@@ -119,14 +112,14 @@ def cmd_homology(args) -> dict:
 
 
 def cmd_handles(args) -> dict:
-    g = _load(args.path)
+    g = core.load_gem(args.path)
     report = _base_report(args.path, g)
     report["handles"] = handles.handles_report(g).to_json()
     return report
 
 
 def cmd_reduce(args) -> dict:
-    g = _load(args.path)
+    g = core.load_gem(args.path)
     reduced = core.reduce(g)
     core.save_gem(reduced, args.out)
     return {"schema_version": SCHEMA, "input": str(args.path),
@@ -135,7 +128,7 @@ def cmd_reduce(args) -> dict:
 
 
 def cmd_sum(args) -> dict:
-    g1, g2 = _load(args.path1), _load(args.path2)
+    g1, g2 = core.load_gem(args.path1), core.load_gem(args.path2)
     s = core.connected_sum(g1, g2)
     core.save_gem(s, args.out)
     return {"schema_version": SCHEMA, "inputs": [str(args.path1), str(args.path2)],
@@ -143,7 +136,7 @@ def cmd_sum(args) -> dict:
 
 
 def cmd_canon(args) -> dict:
-    g = _load(args.path)
+    g = core.load_gem(args.path)
     flavor = core.COLOR_PRESERVING if args.color_preserving \
         else core.UP_TO_COLOR_PERMUTATION
     return {"schema_version": SCHEMA, "path": str(args.path),

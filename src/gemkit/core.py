@@ -823,9 +823,18 @@ def parse_gem(text: str) -> ColoredGraph:
         raise GemFormatError(str(exc)) from exc
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; a file that cannot be read or
+    decoded is malformed input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GemFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def load_gem(path) -> ColoredGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_gem(fh.read())
+    return parse_gem(read_text(path))
 
 
 def save_gem(g: ColoredGraph, path) -> None:

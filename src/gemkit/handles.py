@@ -128,6 +128,7 @@ class HandleProfile:
         }
 
 
+@core.memo
 def _boundary_h1(g: core.ColoredGraph, s: int) -> str:
     """H1 of the boundary 3-manifold, read from the singular residue."""
     residues = core.extract_residues(g, core.complement_key((s,), 5))
@@ -279,6 +280,7 @@ class HandlesReport:
         }
 
 
+@core.memo
 def handles_report(g: core.ColoredGraph) -> HandlesReport:
     """Witness scan plus a profile and collapse trace for each witness."""
     witnesses = find_hypothesis_witnesses(g)

@@ -195,6 +195,11 @@ def test_resume_rejects_changed_parameters(tmp_path):
     with pytest.raises(StructuralError):
         catalogue.generate_catalogue(out, n_colors=3, max_order=6,
                                      resume_meta=str(out) + ".meta")
+    # a meta whose params lack the run parameters differs from every run
+    meta = tmp_path / "bare.meta"
+    meta.write_text(json.dumps({"params": {}, "shards": {}}))
+    with pytest.raises(StructuralError):
+        catalogue.generate_catalogue(out, n_colors=3, max_order=4, resume_meta=meta)
 
 
 def test_verify_corpus_clean_and_corrupted(tmp_path):
@@ -313,3 +318,32 @@ def test_generate_refuses_before_writing(tmp_path, max_order, filters):
     with pytest.raises(StructuralError):
         catalogue.generate_catalogue(tmp_path / "cat.jsonl", 3, max_order, filters)
     assert not list(tmp_path.iterdir())
+
+
+# two order-2 components, over 3 and over 5 colors: decodable, not connected
+DISCONNECTED = {3: "0103010004" + "010101" "000000" "030303" "020202",
+                5: "0105010004" + "0101010101" "0000000000" "0303030303" "0202020202"}
+
+
+def test_verify_reports_a_disconnected_code_instead_of_raising():
+    rec = catalogue.CatalogueRecord(code=DISCONNECTED[3], order=4, colors=3,
+                                    bipartite=True)
+    result = catalogue.verify_record(rec)
+    failed = {name for name, status in result.items() if status != "skip"}
+    assert failed == {"decode-recode", "bipartite-flag", "manifold-verdict"}
+    assert all(result[name] == "fail: operation requires a connected graph"
+               for name in failed)
+    report = catalogue.verify_corpus([rec])
+    assert report["ok"] is False
+    assert {f["check"] for f in report["failures"]} == failed
+
+
+def test_every_check_behind_a_raising_gate_fails_with_its_message():
+    # the crystallization test refuses the disconnected gem: every check not
+    # yet run fails with that message, none is skipped
+    rec = catalogue.CatalogueRecord(code=DISCONNECTED[5], order=4, colors=5,
+                                    bipartite=True, generator="elsewhere")
+    result = catalogue.verify_record(rec)
+    assert result["record-digests"] == "skip"
+    assert all(status == "fail: operation requires a connected graph"
+               for name, status in result.items() if name != "record-digests")

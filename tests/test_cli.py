@@ -189,3 +189,32 @@ def test_unexpected_exception_exits_3_with_json_diagnostic(capsys, monkeypatch, 
     assert "Traceback" not in err
     assert json.loads(err) == {"error": {"type": "unexpected-error",
                                          "message": "RuntimeError: boom"}}
+
+
+@pytest.mark.parametrize("argv, content", [
+    (("verify", "{dir}/missing.jsonl"), None),
+    (("verify", "{dir}"), None),
+    (("verify", "{dir}/input"), b"\xff\xfe{}\n"),
+    (("info", "{dir}/input"), b"gem 5 2\n\xff\n"),
+    (("generate", "--resume", "{dir}"), None),
+    (("generate", "--resume", "{dir}/input"), b"not json"),
+    (("generate", "--resume", "{dir}/input"), b"[]"),
+    (("generate", "--resume", "{dir}/input"), b'{"params": 3}'),
+    (("generate", "--resume", "{dir}/input"), b'{"params": {"n_colors": 4}}'),
+    (("generate", "--resume", "{dir}/input"),
+     b'{"params": {}, "shards": {"2:0": [2]}}'),
+], ids=["verify-missing", "verify-directory", "verify-not-utf8", "info-not-utf8",
+        "resume-directory", "resume-not-json", "resume-not-object",
+        "resume-params-not-object", "resume-no-shards", "resume-code-not-string"])
+def test_unreadable_input_exits_2(capsys, tmp_path, argv, content):
+    if content is not None:
+        (tmp_path / "input").write_bytes(content)
+    out_path = tmp_path / "out" / "cat.jsonl"
+    out_path.parent.mkdir()
+    argv = [a.format(dir=tmp_path) for a in argv]
+    if argv[0] == "generate":
+        argv += ["--colors", "4", "--max-order", "4", "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "format-error"
+    assert list(out_path.parent.iterdir()) == []
