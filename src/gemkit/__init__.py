@@ -13,8 +13,8 @@ from .core import (COLOR_PRESERVING, UP_TO_COLOR_PERMUTATION, CanonicalCode,
                    canonical_code, complement_key, connected_sum, decode_code,
                    disjoint_union, eliminate_dipole, extract_residues,
                    find_dipoles, format_gem, is_bipartite, is_connected,
-                   load_gem, odd_cycle, parse_gem, reduce, residue_count,
-                   residue_key, save_gem)
+                   load_gem, parse_gem, reduce, residue_count, residue_key,
+                   save_gem)
 from .errors import (AnalysisRefused, GemFormatError, GemkitError,
                      InternalConsistencyError, StructuralError)
 from .genus import (CyclicPermutation, GenusReport, all_cyclic_permutations,
@@ -22,13 +22,12 @@ from .genus import (CyclicPermutation, GenusReport, all_cyclic_permutations,
 from .invariants import (HomologyReport, Pi1Certificate, Presentation,
                          beta2_via_genus, euler_characteristic,
                          euler_via_genus, h1_via_edge_path, homology,
-                         pi1_certificate, pi1_presentation,
-                         smith_normal_form, tietze_trivializes)
+                         pi1_certificate, smith_normal_form,
+                         tietze_trivializes)
 from .recognition import (ManifoldClass, SphereCertificate,
                           check_closed_manifold, classify_surface,
                           is_crystallization, normalize_singular_color,
-                          recognize_sphere3, sphere_certificate,
-                          singular_colors)
+                          sphere_certificate, singular_colors)
 from .classification import (BoundsReport, ClassificationReport, check_bounds,
                              classification_report, detect_simple,
                              detect_weak_simple, genus_subgenus_residuals,

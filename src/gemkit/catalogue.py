@@ -525,6 +525,13 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
         if (params.get("n_colors"), params.get("max_order"), params.get("filters")) != \
                 (n_colors, max_order, list(filters)):
             raise StructuralError("resume parameters differ from the checkpointed run")
+        for code in (c for codes in meta["shards"].values() if isinstance(codes, list)
+                     for c in codes):
+            try:
+                if core.decode_code(code).n_colors != n_colors:
+                    raise GemFormatError(f"not {n_colors}-colored")
+            except GemFormatError as exc:
+                raise GemFormatError(f"{meta_path} holds code {code!r}: {exc}") from exc
         meta["schema"] = META_SCHEMA
     else:
         meta = {

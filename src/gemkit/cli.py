@@ -101,7 +101,7 @@ def cmd_homology(args) -> dict:
     report = _base_report(args.path, g)
     report["homology"] = invariants.homology(g).to_json()
     _note_conditional(report, "homology")
-    pres = invariants.pi1_presentation(g)
+    pres = invariants.presentation_raw(g, *invariants.color_pair(g))
     report["pi1_presentation"] = {
         "colors": list(pres.colors),
         "generators": pres.generator_count,

@@ -322,31 +322,6 @@ def is_bipartite(g: ColoredGraph) -> bool:
     return bipartition(g) is not None
 
 
-def odd_cycle(g: ColoredGraph) -> tuple[int, ...] | None:
-    """An odd closed walk witnessing non-bipartiteness, or None."""
-    if bipartition(g) is not None:
-        return None
-    # A breadth-first tree; any edge joining two vertices of the same depth
-    # parity closes an odd cycle through their lowest common ancestor.
-    edges = [(v, w) for row in g.matchings for v, w in enumerate(row) if v < w]
-    parent = [-1] * g.order
-    depth = [0] * g.order
-    for idx in spanning_tree(g.order, edges):  # discovery order: one end is placed
-        a, b = edges[idx]
-        if b == 0 or parent[b] >= 0:
-            a, b = b, a
-        parent[b], depth[b] = a, depth[a] + 1
-    # tree edges join depths of opposite parity, so this edge is off the tree
-    v, w = next((a, b) for a, b in edges if depth[a] % 2 == depth[b] % 2)
-    down, up = [v], [w]  # v up to the ancestor, then w's side back down
-    while down[-1] != up[-1]:
-        if depth[down[-1]] >= depth[up[-1]]:
-            down.append(parent[down[-1]])
-        else:
-            up.append(parent[up[-1]])
-    return tuple(down + up[-2::-1])
-
-
 # ---------------------------------------------------------------------------
 # Canonical codes
 # ---------------------------------------------------------------------------
@@ -388,11 +363,10 @@ def _bfs_stream(matchings, p, start, color_order, best):
 
 @dataclass(frozen=True)
 class CanonicalCode:
-    """Byte string identifying a connected gem up to the chosen isomorphism
-    flavor: equal codes (same flavor) iff isomorphic graphs."""
+    """Byte string identifying a connected gem up to the isomorphism flavor
+    its byte 0 records (1: up to color permutation): equal codes iff isomorphic."""
 
     data: bytes
-    flavor: str
 
     def hex(self) -> str:
         return self.data.hex()
@@ -468,7 +442,7 @@ def canonical_code(g: ColoredGraph, flavor: str = UP_TO_COLOR_PERMUTATION) -> Ca
     width = 1 if p <= 0xFF else 2
     head = bytes([flavor == UP_TO_COLOR_PERMUTATION, k, width]) + p.to_bytes(2, "big")
     body = b"".join(x.to_bytes(width, "big") for x in best)
-    return CanonicalCode(data=head + body, flavor=flavor)
+    return CanonicalCode(data=head + body)
 
 
 def decode_code(code: CanonicalCode | bytes | str) -> ColoredGraph:

@@ -51,9 +51,6 @@ class CyclicPermutation:
         position i (not re-canonicalized; only the cyclic order matters)."""
         return self.seq[i + 1:] + self.seq[:i]
 
-    def inverse(self) -> "CyclicPermutation":
-        return CyclicPermutation.canonical(tuple(reversed(self.seq)))
-
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.seq) + ")"
 

@@ -163,14 +163,13 @@ def euler_characteristic(g: core.ColoredGraph) -> int:
     return chi
 
 
-def euler_via_genus(g: core.ColoredGraph, eps=None) -> int:
+def euler_via_genus(g: core.ColoredGraph) -> int:
     """Euler characteristic of the represented singular 4-manifold from the
     genus/subgenus split: 2 - 2*rho_eps + sum_i rho with color eps_i dropped.
 
     Independent of eps; the all-permutation sweep is asserted and any
     mismatch is a structural bug (useful as a fuzz oracle).  Requires a
-    5-colored crystallization; ``eps``, if given, must be a cyclic order of
-    its five colors.
+    5-colored crystallization.
     """
     recognition.require_crystallization(g)
     report = genus.genus_all(g)
@@ -182,8 +181,6 @@ def euler_via_genus(g: core.ColoredGraph, eps=None) -> int:
     chi = distinct.pop()
     if chi.denominator != 1:
         raise InternalConsistencyError(f"non-integral euler characteristic {chi}")
-    if eps is not None:
-        genus.as_permutation(g, eps)
     return int(chi)
 
 
@@ -205,7 +202,6 @@ class Presentation:
     relators: tuple[tuple[int, ...], ...]
     tree_relators: tuple[int, ...]
     colors: tuple[int, int]
-    flavor: str
 
     def all_relators(self) -> tuple[tuple[int, ...], ...]:
         return self.relators + tuple((t,) for t in self.tree_relators)
@@ -218,8 +214,7 @@ class Presentation:
         return "\n".join(lines) + "\n"
 
 
-def presentation_raw(g: core.ColoredGraph, i: int, j: int,
-                     flavor: str = COMPACT) -> Presentation:
+def presentation_raw(g: core.ColoredGraph, i: int, j: int) -> Presentation:
     """Build the (i, j) presentation without any manifold-hood validation.
 
     Word rule: walk each {i,j}-cycle from its least vertex, i-colored edge
@@ -262,7 +257,7 @@ def presentation_raw(g: core.ColoredGraph, i: int, j: int,
         raise InternalConsistencyError("two-color vertex subcomplex is disconnected")
     return Presentation(generator_count=gen_count, relators=tuple(relators),
                         tree_relators=tuple(sorted(idx + 1 for idx in tree)),
-                        colors=(i, j), flavor=flavor)
+                        colors=(i, j))
 
 
 def color_pair(g: core.ColoredGraph, flavor: str = COMPACT) -> tuple[int, int]:
@@ -285,24 +280,6 @@ def color_pair(g: core.ColoredGraph, flavor: str = COMPACT) -> tuple[int, int]:
     if len(regular) < 2:
         raise StructuralError("no non-singular color pair available")
     return regular[0], regular[1]
-
-
-def pi1_presentation(g: core.ColoredGraph, i: int | None = None,
-                     j: int | None = None, flavor: str = COMPACT) -> Presentation:
-    """Validated presentation of pi1 of the represented compact manifold
-    (flavor compact-manifold: both colors non-singular) or of its singular
-    model (flavor singular-manifold: every singular color among {i, j}).
-    Without both colors given, reads the flavor's ``color_pair``."""
-    if flavor not in (COMPACT, SINGULAR):
-        raise StructuralError(f"unknown presentation flavor {flavor!r}")
-    sing = recognition.singular_colors(g)
-    if i is None or j is None:
-        i, j = color_pair(g, flavor)
-    if flavor == COMPACT and (i in sing or j in sing):
-        raise StructuralError(f"colors ({i}, {j}) must both be non-singular")
-    if flavor == SINGULAR and not set(sing) <= {i, j}:
-        raise StructuralError(f"singular colors {sing} must lie in ({i}, {j})")
-    return presentation_raw(g, i, j, flavor)
 
 
 def h1_from_presentation(pres: Presentation) -> tuple[int, tuple[int, ...]]:
@@ -476,31 +453,26 @@ def h1_via_edge_path(g: core.ColoredGraph) -> tuple[int, tuple[int, ...]]:
 class Pi1Certificate:
     """Tri-state knowledge about pi1 of the represented compact manifold.
 
-    ``m`` and ``m_prime`` are abelianization lower bounds for the ranks of
-    pi1 of the manifold and of its singular model; "trivial" is certified
-    by Tietze collapse to the empty presentation, "nontrivial" by a nonzero
-    abelianization.
+    ``m`` is the rank of the abelianization of the compact pair's
+    presentation, a lower bound for the rank of pi1; "trivial" is certified
+    by Tietze collapse of some non-singular pair's presentation to the
+    empty one, "nontrivial" by m > 0.
     """
 
     status: str  # "trivial" | "nontrivial" | "unknown"
     m: int
-    m_prime: int
-    witness_colors: tuple[int, int] | None
 
 
 @core.memo
 def pi1_certificate(g: core.ColoredGraph) -> Pi1Certificate:
-    compact, singular = color_pair(g), color_pair(g, SINGULAR)
-    m = abelian_rank(presentation_raw(g, *compact))
-    m_prime = m if singular == compact else abelian_rank(presentation_raw(g, *singular))
+    m = abelian_rank(presentation_raw(g, *color_pair(g)))
     if m > 0:
-        return Pi1Certificate("nontrivial", m, m_prime, None)
+        return Pi1Certificate("nontrivial", m)
     sing = recognition.singular_colors(g)
     for pair in itertools.combinations(range(g.n_colors), 2):
         if not set(pair) & set(sing) and tietze_trivializes(presentation_raw(g, *pair)):
-            # pi1 of the singular model is a quotient, so it collapses too
-            return Pi1Certificate("trivial", 0, 0, pair)
-    return Pi1Certificate("unknown", m, m_prime, None)
+            return Pi1Certificate("trivial", 0)
+    return Pi1Certificate("unknown", m)
 
 
 @dataclass(frozen=True)

@@ -169,17 +169,6 @@ def _reduction_certificate(g: core.ColoredGraph) -> SphereCertificate:
     return SphereCertificate(UNKNOWN, None)
 
 
-def recognize_sphere3(g: core.ColoredGraph) -> SphereCertificate:
-    """Sphere recognition for a 4-colored gem passing the closed-3-manifold
-    check (all its surface residues have genus 0)."""
-    if g.n_colors != 4:
-        raise StructuralError("recognize_sphere3 needs a 4-colored graph")
-    mc = check_closed_manifold(g)
-    if mc.verdict != "closed-3-manifold":
-        raise StructuralError(f"not a closed-3-manifold gem: {mc.verdict}")
-    return sphere_certificate(g)
-
-
 @core.memo
 def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
     """Classify the polyhedron represented by a connected gem.

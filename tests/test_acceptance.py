@@ -96,7 +96,7 @@ def test_acceptance_3_cp2_fixture():
 
     hom = invariants.homology(g)
     assert (hom.betti2, hom.chi_singular, hom.betti1) == (1, 3, 0)
-    pres = invariants.pi1_presentation(g)
+    pres = invariants.presentation_raw(g, *invariants.color_pair(g))
     assert invariants.tietze_trivializes(pres)
 
     bounds = classification.check_bounds(g)
@@ -231,7 +231,7 @@ def test_acceptance_8_negative_controls():
     mc = recognition.check_closed_manifold(fixtures.torus_times_colors())
     assert mc.verdict == "not-a-manifold-complex"
 
-    cert = recognition.recognize_sphere3(fixtures.rp3())
+    cert = recognition.sphere_certificate(fixtures.rp3())
     assert cert.status == recognition.CERTIFIED_NONSPHERE
     assert cert.method == "homology-obstruction"
     assert "Z/2" in cert.detail

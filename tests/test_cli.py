@@ -203,9 +203,16 @@ def test_unexpected_exception_exits_3_with_json_diagnostic(capsys, monkeypatch, 
     (("generate", "--resume", "{dir}/input"), b'{"params": {"n_colors": 4}}'),
     (("generate", "--resume", "{dir}/input"),
      b'{"params": {}, "shards": {"2:0": [2]}}'),
+    # params of the run below, so only the checkpointed code is wrong
+    (("generate", "--resume", "{dir}/input"),
+     b'{"params": {"n_colors": 4, "max_order": 4, "filters": []}, "shards": {"2:0": ["zz"]}}'),
+    (("generate", "--resume", "{dir}/input"),
+     b'{"params": {"n_colors": 4, "max_order": 4, "filters": []}, '
+     b'"shards": {"2:0": ["0103010002010101000000"]}}'),
 ], ids=["verify-missing", "verify-directory", "verify-not-utf8", "info-not-utf8",
         "resume-directory", "resume-not-json", "resume-not-object",
-        "resume-params-not-object", "resume-no-shards", "resume-code-not-string"])
+        "resume-params-not-object", "resume-no-shards", "resume-code-not-string",
+        "resume-code-not-a-gem", "resume-code-wrong-colors"])
 def test_unreadable_input_exits_2(capsys, tmp_path, argv, content):
     if content is not None:
         (tmp_path / "input").write_bytes(content)
@@ -218,3 +225,6 @@ def test_unreadable_input_exits_2(capsys, tmp_path, argv, content):
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "format-error"
     assert list(out_path.parent.iterdir()) == []
+    # refused before any shard ran: a resumed meta is left as it was
+    input_path = tmp_path / "input"
+    assert (input_path.read_bytes() if input_path.exists() else None) == content

@@ -101,21 +101,6 @@ def test_bipartite_examples():
     assert not core.is_bipartite(fixtures.projective_plane())
 
 
-def test_odd_cycle_witness_is_odd_closed_walk():
-    rp2 = fixtures.projective_plane()
-    rng = random.Random(17)
-    larger = random_relabel(
-        random_augment(core.connected_sum(rp2, core.connected_sum(rp2, rp2)), rng, 6), rng)
-    assert larger.order >= 20
-    for g in [rp2, larger] + [random_relabel(rp2, random.Random(s)) for s in range(5)]:
-        cyc = core.odd_cycle(g)
-        assert cyc is not None and len(cyc) % 2 == 1
-        # consecutive vertices joined by some edge
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            assert any(g.matchings[c][a] == b for c in g.colors)
-    assert core.odd_cycle(fixtures.torus()) is None
-
-
 def test_bipartition_requires_connected():
     with pytest.raises(StructuralError):
         core.bipartition(core.disjoint_union(fixtures.sigma(3), fixtures.sigma(3)))

@@ -65,8 +65,6 @@ def test_euler_via_genus_matches_and_is_permutation_free():
     assert invariants.euler_via_genus(fixtures.sigma(5)) == 2
     assert invariants.euler_via_genus(fixtures.cp2()) == 3
     assert invariants.euler_via_genus(fixtures.rp3_boundary()) == 3
-    eps = genus.all_cyclic_permutations(5)[3]
-    assert invariants.euler_via_genus(fixtures.cp2(), eps) == 3
 
 
 def test_euler_via_genus_refuses_non_crystallization():
@@ -92,14 +90,14 @@ def test_presentation_counts_match_residues():
 
 
 def test_sigma5_presentation_trivializes():
-    pres = invariants.pi1_presentation(fixtures.sigma(5))
+    pres = invariants.presentation_raw(fixtures.sigma(5), 0, 1)
     assert pres.generator_count == 1
     assert invariants.h1_from_presentation(pres) == (0, ())
     assert invariants.tietze_trivializes(pres)
 
 
 def test_cp2_presentation_trivializes():
-    pres = invariants.pi1_presentation(fixtures.cp2())
+    pres = invariants.presentation_raw(fixtures.cp2(), 0, 1)
     assert invariants.h1_from_presentation(pres) == (0, ())
     assert invariants.tietze_trivializes(pres)
 
@@ -110,18 +108,6 @@ def test_rp3_abelianization_is_z2():
     assert not invariants.tietze_trivializes(pres)
 
 
-def test_presentation_flavor_validation():
-    bdy = fixtures.rp3_boundary()
-    with pytest.raises(StructuralError):
-        invariants.pi1_presentation(bdy, 0, 4, flavor=invariants.COMPACT)
-    with pytest.raises(StructuralError):
-        invariants.pi1_presentation(bdy, 0, 1, flavor=invariants.SINGULAR)
-    compact = invariants.pi1_presentation(bdy, 0, 1, flavor=invariants.COMPACT)
-    hat = invariants.pi1_presentation(bdy, 0, 4, flavor=invariants.SINGULAR)
-    assert invariants.h1_from_presentation(compact) == (0, ())
-    assert invariants.h1_from_presentation(hat) == (0, ())
-
-
 def test_default_singular_pair_holds_both_singular_colors():
     # neither singular color is 0: the default pair is the two of them
     g = core.decode_code(
@@ -129,23 +115,21 @@ def test_default_singular_pair_holds_both_singular_colors():
     ).recolor((2, 3, 0, 1))
     assert recognition.check_closed_manifold(g).verdict == "singular-3-residue"
     assert recognition.singular_colors(g) == (2, 3)
-    pres = invariants.pi1_presentation(g, flavor=invariants.SINGULAR)
-    assert pres.colors == (2, 3)
-    assert invariants.pi1_presentation(g).colors == (0, 1)
+    assert invariants.color_pair(g, invariants.SINGULAR) == (2, 3)
+    assert invariants.color_pair(g) == (0, 1)
 
 
 @pytest.mark.parametrize("analysis", [
-    lambda g, eps: invariants.euler_via_genus(g, eps=eps),
     classification.genus_subgenus_residuals,
     genus.genus_wrt,
-], ids=["euler_via_genus", "genus_subgenus_residuals", "genus_wrt"])
+], ids=["genus_subgenus_residuals", "genus_wrt"])
 def test_cyclic_order_of_wrong_length_is_refused(analysis):
     with pytest.raises(StructuralError, match="permutation"):
         analysis(fixtures.cp2(), (0, 1, 2))
 
 
 def test_presentation_text_export():
-    pres = invariants.pi1_presentation(fixtures.sigma(5))
+    pres = invariants.presentation_raw(fixtures.sigma(5), 0, 1)
     text = pres.to_text()
     lines = text.splitlines()
     assert lines[0] == "gens: x1"
@@ -205,6 +189,26 @@ def test_pi1_certificates():
     assert invariants.pi1_certificate(fixtures.rp3_boundary()).status == "trivial"
     cert = invariants.pi1_certificate(fixtures.nonsimply_connected())
     assert cert.status == "nontrivial" and cert.m == 1
+
+
+def test_pi1_certificate_reads_no_singular_pair(monkeypatch):
+    # the certificate is about the compact manifold: no presentation of the
+    # gem over a pair holding its singular color 4 is built
+    g = fixtures.rp3_boundary()
+    assert recognition.singular_colors(g) == (4,)
+    pairs = []
+    raw = invariants.presentation_raw
+
+    def spy(h, i, j):
+        if h == g:  # hat-residues' presentations come from sphere certification
+            pairs.append((i, j))
+        return raw(h, i, j)
+
+    monkeypatch.setattr(invariants, "presentation_raw", spy)
+    for memo in core.MEMOS:
+        memo.cache_clear()
+    assert invariants.pi1_certificate(g).status == "trivial"
+    assert pairs and all(4 not in pair for pair in pairs), pairs
 
 
 def test_boundary_sum_of_simply_connected_stays_simply_connected():

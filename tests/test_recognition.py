@@ -70,7 +70,7 @@ def test_surface_and_3_manifold_verdicts():
 
 
 def test_recognize_sphere3_order2():
-    cert = recognition.recognize_sphere3(fixtures.sigma(4))
+    cert = recognition.sphere_certificate(fixtures.sigma(4))
     assert cert.status == recognition.CERTIFIED_SPHERE
 
 
@@ -78,12 +78,12 @@ def test_recognize_sphere3_via_reduction():
     rng = random.Random(9)
     for _ in range(10):
         g = random_augment(fixtures.sigma(4), rng, rng.randint(1, 3))
-        cert = recognition.recognize_sphere3(g)
+        cert = recognition.sphere_certificate(g)
         assert cert.status == recognition.CERTIFIED_SPHERE
 
 
 def test_recognize_sphere3_rp3_obstruction():
-    cert = recognition.recognize_sphere3(fixtures.rp3())
+    cert = recognition.sphere_certificate(fixtures.rp3())
     assert cert.status == recognition.CERTIFIED_NONSPHERE
     assert cert.method == "homology-obstruction"
     assert "Z/2" in cert.detail
