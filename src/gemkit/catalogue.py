@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
@@ -44,8 +45,6 @@ from . import classification, core, genus, handles, invariants, recognition
 from .errors import GemFormatError, InternalConsistencyError, StructuralError
 
 GENERATOR_VERSION = "gemkit-0.1.0"
-FILTERS = ("bipartite", "manifold", "crystallization", "simply-connected",
-           "weak-simple", "handle-witness")
 
 
 # ---------------------------------------------------------------------------
@@ -190,26 +189,31 @@ def _orbit_minima(pool: list[tuple[int, ...]], gens) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Raw-tuple filters (cheap, isomorphism-invariant)
+# Filters (isomorphism-invariant)
 # ---------------------------------------------------------------------------
 
+# A filter: its color counts (least, greatest or None), whether it keeps only
+# crystallizations, and its test on a decoded gem beyond that (None if none).
+Filter = namedtuple("Filter", "colors crystallization test", defaults=((0, None), False, None))
+FILTERS = MappingProxyType({
+    "bipartite": Filter(),  # tested on the raw matchings in the walk
+    "manifold": Filter(test=lambda g: recognition.check_closed_manifold(g).is_manifold),
+    "crystallization": Filter(crystallization=True),
+    "simply-connected": Filter((4, None), True,
+                               lambda g: invariants.pi1_certificate(g).status == "trivial"),
+    "weak-simple": Filter((5, 5), True,
+                          lambda g: invariants.pi1_certificate(g).status != "nontrivial"
+                          and bool(classification.detect_weak_simple(g))),
+    "handle-witness": Filter((5, 5), True, lambda g: bool(handles.find_hypothesis_witnesses(g))),
+})
+
+
 def _passes_expensive(g: core.ColoredGraph, filters) -> bool:
-    needs_pi1 = {"simply-connected", "weak-simple", "handle-witness"} & set(filters)
-    if "manifold" in filters and not recognition.check_closed_manifold(g).is_manifold:
+    """Whether g passes ``filters``, tested as crystallization first if one asks."""
+    specs = [FILTERS[f] for f in filters]
+    if any(f.crystallization for f in specs) and not recognition.is_crystallization(g):
         return False
-    if ("crystallization" in filters or needs_pi1) \
-            and not recognition.is_crystallization(g)[0]:
-        return False
-    if needs_pi1:
-        cert = invariants.pi1_certificate(g)
-        if "simply-connected" in filters and cert.status != "trivial":
-            return False
-        if "weak-simple" in filters:
-            if cert.status == "nontrivial" or not classification.detect_weak_simple(g):
-                return False
-        if "handle-witness" in filters and not handles.find_hypothesis_witnesses(g):
-            return False
-    return True
+    return all(f.test(g) for f in specs if f.test)
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +263,15 @@ def build_record(code_hex: str) -> CatalogueRecord:
     byte-identical records regardless of which labeling found them.
     """
     g = core.decode_code(code_hex)
-    mc = recognition.check_closed_manifold(g) if g.n_colors >= 3 else None
-    man_json = mc.to_json() if mc else None
+    man_json = recognition.check_closed_manifold(g).to_json() if g.n_colors >= 3 else None
     gen_json = genus.genus_all(g).to_json()
-    cls_json = None
-    hnd_json = None
-    if g.n_colors == 5 and recognition.is_crystallization(g)[0]:
+    cls_json = hnd_json = None
+    if g.n_colors == 5 and recognition.is_crystallization(g):
         cert = invariants.pi1_certificate(g)
-        if cert.status != "nontrivial":
-            cls_json = classification.classification_report(g).to_json()
+        cls_json = ({"refused": f"pi1 nontrivial (m >= {cert.m})"} if cert.status == "nontrivial"
+                    else classification.classification_report(g).to_json())
+        if cert.status == "trivial":  # the rung on which verify checks handles
             hnd_json = handles.handles_report(g).to_json()
-        else:
-            cls_json = {"refused": f"pi1 nontrivial (m >= {cert.m})"}
     return CatalogueRecord(code=code_hex, order=g.order, colors=g.n_colors,
                            bipartite=core.is_bipartite(g), manifold=man_json,
                            genus=gen_json, classification=cls_json,
@@ -304,15 +305,16 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
 
     The nondecreasing matching tuples are walked as a tree carrying, per
     potential deleted color, the vertex partition of the matchings chosen
-    so far; partition merges are memoized, and in crystallization runs a
-    leaf dies as soon as the partition missing only the last color is
-    disconnected.  In manifold and crystallization runs over k >= 4 colors
-    each color triple's sphere condition is tested at the depth that
-    chooses its last color, and a branch dies once its count of unclean
-    triples exceeds what the filter allows; the leaf tests only the
-    triples holding the last color.  The count never falls, so exactly the
-    leaves that the same test at the leaf would pass reach the
-    canonical code.  Each distinct code is decoded and filtered once.
+    so far; partition merges are memoized, and in crystallization runs
+    (some filter keeps only crystallizations) a leaf dies as soon as the
+    partition missing only the last color is disconnected.  In manifold
+    and crystallization runs over k >= 4 colors each color triple's
+    sphere condition is tested at the depth that chooses its last color,
+    and a branch dies once its count of unclean triples exceeds what the
+    filter allows; the leaf tests only the triples holding the last color.
+    The count never falls, so exactly the leaves that the same test at the
+    leaf would pass reach the canonical code.  Each distinct code is
+    decoded and filtered once.
     """
     if n_colors < 3:
         raise StructuralError("enumeration needs at least 3 colors")
@@ -323,7 +325,7 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     # every matching of rank >= shard_index with pi0 is >= pi1, its orbit minimum
     pool = [m for m in fpf_involutions(p) if rank[_cycle_partition(pi0, m)] >= shard_index]
     least = _orbit_minima(pool, _stabilizer_generators(pi0, pi1))
-    crys = "crystallization" in filters
+    crys = any(FILTERS[f].crystallization for f in filters)
     want_bipartite = "bipartite" in filters
 
     all_matchings = [pi0, pi1] + pool
@@ -439,15 +441,19 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     return sorted(codes)
 
 
-def _check_run(max_order: int, filters) -> tuple[str, ...]:
-    """Refuse an odd or too small ``max_order`` and unknown filters;
-    returns the filters as a tuple."""
+def _check_run(n_colors: int, max_order: int, filters) -> tuple[str, ...]:
+    """Refuse an odd or too small ``max_order``, unknown filters and filters
+    not defined for ``n_colors`` colors; returns the filters as a tuple."""
     if max_order < 2 or max_order % 2:
         raise StructuralError("max_order must be even and >= 2")
     filters = tuple(filters)
     for f in filters:
         if f not in FILTERS:
             raise StructuralError(f"unknown filter {f!r}; valid: {', '.join(FILTERS)}")
+        least, most = FILTERS[f].colors
+        if not least <= n_colors <= (most or n_colors):
+            need = least if least == most else f"at least {least}"
+            raise StructuralError(f"filter {f!r} needs {need} colors, not {n_colors}")
     return filters
 
 
@@ -473,7 +479,7 @@ META_SCHEMA = "gemkit-catalogue-meta/2"
 
 def enumerate_gems(n_colors: int, max_order: int, filters=()) -> list[CatalogueRecord]:
     """In-process enumeration; returns records sorted by canonical code."""
-    filters = _check_run(max_order, filters)
+    filters = _check_run(n_colors, max_order, filters)
     codes = set()
     for _, shard in _run_shards(n_colors, shard_keys(n_colors, max_order), filters):
         codes.update(shard)
@@ -506,7 +512,7 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
     no timestamps: two runs with different job counts produce
     byte-identical catalogues.
     """
-    filters = _check_run(max_order, filters)
+    filters = _check_run(n_colors, max_order, filters)
     path = Path(path)
     meta_path = Path(resume_meta) if resume_meta else Path(str(path) + ".meta")
 
@@ -654,7 +660,7 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
             raise InternalConsistencyError("manifold verdict drifted")
     run("manifold-verdict", chk_mc)
 
-    if g.n_colors != 5 or not gate(lambda: recognition.is_crystallization(g)[0]):
+    if g.n_colors != 5 or not gate(lambda: recognition.is_crystallization(g)):
         return out
     run("euler-permutation-independent", lambda: invariants.euler_via_genus(g))
     run("homology-dual-oracle", lambda: invariants.homology(g))

@@ -17,16 +17,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import core, genus, invariants, recognition
-from .errors import AnalysisRefused, InternalConsistencyError
-
-
-def _certificate(g: core.ColoredGraph) -> invariants.Pi1Certificate:
-    cert = invariants.pi1_certificate(g)
-    if cert.status == "nontrivial":
-        raise AnalysisRefused(
-            "classification is defined for simply-connected manifolds; "
-            f"pi1 has abelianization rank {cert.m}")
-    return cert
+from .errors import InternalConsistencyError
 
 
 @core.memo
@@ -51,8 +42,7 @@ def detect_weak_simple(g: core.ColoredGraph) -> list[genus.CyclicPermutation]:
     Refuses when pi1 is certified nontrivial; an unknown certificate lets
     the computation run (callers watermark the report as conditional).
     """
-    recognition.require_crystallization(g)
-    _certificate(g)
+    invariants.require_simply_connected(g)
     t = t_values(g)
     return [eps for eps in genus.all_cyclic_permutations(5)
             if all(t[tr] == 0 for tr in skew_triples(eps))]
@@ -71,8 +61,7 @@ def genus_subgenus_residuals(g: core.ColoredGraph, eps) -> tuple[Fraction, ...]:
     simply-connected compact 4-manifold with empty or connected boundary;
     a nonzero residual means a genus or residue-count bug.
     """
-    recognition.require_crystallization(g)
-    cert = _certificate(g)
+    cert = invariants.require_simply_connected(g)
     eps = genus.as_permutation(g, eps)
     report = genus.genus_all(g)
     rho = report.rho[eps]
@@ -142,8 +131,7 @@ def check_bounds(g: core.ColoredGraph) -> BoundsReport:
     bound, hits it exactly iff a weak-simple order exists, and at every
     weak-simple order all five subgenera equal chi(singular model) - 2.
     """
-    recognition.require_crystallization(g)
-    cert = _certificate(g)
+    cert = invariants.require_simply_connected(g)
     conditional = cert.status != "trivial"
     hom = invariants.homology(g)
     report = genus.genus_all(g)

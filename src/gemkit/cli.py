@@ -70,7 +70,7 @@ def cmd_info(args) -> dict:
         report["manifold_class"] = mc.to_json()
         _note_conditional(report, "manifold_class")
         if g.n_colors >= 4:
-            report["crystallization"] = recognition.is_crystallization(g)[0]
+            report["crystallization"] = recognition.is_crystallization(g)
         report["euler_characteristic"] = invariants.euler_characteristic(g)
     return report
 

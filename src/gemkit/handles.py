@@ -130,10 +130,9 @@ class HandleProfile:
 
 @core.memo
 def _boundary_h1(g: core.ColoredGraph, s: int) -> str:
-    """H1 of the boundary 3-manifold, read from the singular residue."""
-    residues = core.extract_residues(g, core.complement_key((s,), 5))
-    free, torsion = invariants.h1_from_presentation(
-        invariants.presentation_raw(residues[0].graph, 0, 1))
+    """H1 of the boundary 3-manifold, read from the one residue missing s."""
+    residue = core.residue_graph(g.matchings, core.complement_key((s,), 5), range(g.order))
+    free, torsion = invariants.h1_from_presentation(invariants.presentation_raw(residue, 0, 1))
     return invariants.h1_text(free, torsion)
 
 

@@ -475,6 +475,21 @@ def pi1_certificate(g: core.ColoredGraph) -> Pi1Certificate:
     return Pi1Certificate("unknown", m)
 
 
+def require_simply_connected(g: core.ColoredGraph, certified: bool = False) -> Pi1Certificate:
+    """The pi1 guard of the classification, beta2 and the handle profiles:
+    refuse a non-crystallization, then a pi1 certified nontrivial or, when
+    ``certified``, one not certified trivial.  Returns the certificate."""
+    recognition.require_crystallization(g)
+    cert = pi1_certificate(g)
+    if cert.status == "nontrivial":
+        raise AnalysisRefused(
+            "classification is defined for simply-connected manifolds; "
+            f"pi1 has abelianization rank {cert.m}")
+    if certified and cert.status != "trivial":
+        raise AnalysisRefused(f"needs certified trivial pi1 (status: {cert.status})")
+    return cert
+
+
 @dataclass(frozen=True)
 class HomologyReport:
     betti1: int
@@ -531,8 +546,7 @@ def homology(g: core.ColoredGraph) -> HomologyReport:
             f"{h1_text(b1_hat_b, torsion_hat_b)}")
 
     chi = euler_characteristic(g)
-    contracted = all(n == 1 for n in core.hat_residue_counts(g).values())
-    if contracted:  # with at most one singular color: a crystallization
+    if contracted := recognition.is_crystallization(g):
         chi_genus = euler_via_genus(g)
         if chi_genus != chi:
             raise InternalConsistencyError(
@@ -556,11 +570,7 @@ def beta2_via_genus(g: core.ColoredGraph) -> int:
     the homology report.  Asserts it is nonnegative, never exceeds any
     single subgenus and matches the report's beta2.
     """
-    cert = pi1_certificate(g)
-    if cert.status != "trivial":
-        raise AnalysisRefused(
-            f"beta2_via_genus needs certified trivial pi1 (status: {cert.status})")
-    recognition.require_crystallization(g)
+    require_simply_connected(g, certified=True)
     hom = homology(g)
     beta2 = hom.chi_singular - 2
     if beta2 < 0:

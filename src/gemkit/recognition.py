@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from types import MappingProxyType
 
 from . import core, genus
 from .errors import StructuralError
@@ -202,9 +201,11 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
                         conditional=False, certificates=((triple[0], (replace(
                             cert, detail=f"{triple}-residue has {cert.detail}"),)),))
     if k > 5:
-        for c in g.colors:
-            for r in core.extract_residues(g, core.complement_key((c,), k)):
-                sub = check_closed_manifold(r.graph)
+        for key in (core.complement_key((c,), k) for c in g.colors):
+            labels, count = core.residue_labels(g, key)
+            for i in range(count):
+                sub = check_closed_manifold(core.residue_graph(
+                    g.matchings, key, [v for v, lab in enumerate(labels) if lab == i]))
                 if not sub.is_manifold or sub.singular_colors:
                     return ManifoldClass(verdict=NOT_A_MANIFOLD, dimension=n,
                                          singular_colors=(), conditional=False)
@@ -240,24 +241,19 @@ def _hat_certificates(g: core.ColoredGraph, key) -> tuple[SphereCertificate, ...
 
 
 @core.memo
-def is_crystallization(g: core.ColoredGraph):
-    """(flag, per-color hat-residue counts as a read-only mapping).
-
-    True when the gem represents a compact manifold with empty or connected
+def is_crystallization(g: core.ColoredGraph) -> bool:
+    """Whether g represents a compact manifold with empty or connected
     boundary (at most one singular color) and every hat-residue count is 1,
-    i.e. the dual triangulation is contracted.
-    """
-    counts = core.hat_residue_counts(g)
+    i.e. the dual triangulation is contracted."""
     mc = check_closed_manifold(g)
-    ok = (mc.is_manifold and len(mc.singular_colors) <= 1
-          and all(v == 1 for v in counts.values()))
-    return ok, MappingProxyType(counts)
+    return (mc.is_manifold and len(mc.singular_colors) <= 1
+            and all(v == 1 for v in core.hat_residue_counts(g).values()))
 
 
 def require_crystallization(g: core.ColoredGraph) -> None:
     """Refuse anything but a 5-colored crystallization, the class the genus
     identities, the classification and the handle analysis are stated for."""
-    if not (g.n_colors == 5 and is_crystallization(g)[0]):
+    if not (g.n_colors == 5 and is_crystallization(g)):
         raise StructuralError(
             f"not a 5-colored crystallization ({g.n_colors} colors, "
             f"hat-residue counts {core.hat_residue_counts(g)})")

@@ -30,8 +30,8 @@ def test_acceptance_1_sigma5_suite():
     t0 = time.time()
     s5 = fixtures.sigma(5)
 
-    ok, counts = recognition.is_crystallization(s5)
-    assert ok and set(counts.values()) == {1}
+    assert recognition.is_crystallization(s5)
+    assert set(core.hat_residue_counts(s5).values()) == {1}
     mc = recognition.check_closed_manifold(s5)
     assert mc.verdict == "closed-4-manifold" and not mc.conditional
     cert = invariants.pi1_certificate(s5)

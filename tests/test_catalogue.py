@@ -24,7 +24,7 @@ def naive_codes(n_colors, max_order, filters=()):
                     not recognition.check_closed_manifold(g).is_manifold:
                 continue
             if "crystallization" in filters and \
-                    not recognition.is_crystallization(g)[0]:
+                    not recognition.is_crystallization(g):
                 continue
             seen.add(core.canonical_code(g).hex())
     return seen
@@ -347,3 +347,26 @@ def test_every_check_behind_a_raising_gate_fails_with_its_message():
     assert result["record-digests"] == "skip"
     assert all(status == "fail: operation requires a connected graph"
                for name, status in result.items() if name != "record-digests")
+
+
+@pytest.fixture()
+def cold_memos():
+    """Clear every memo before the test and after it, so that results derived
+    under a monkeypatched analysis neither meet nor outlive the test."""
+    for memo in core.MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in core.MEMOS:
+        memo.cache_clear()
+
+
+def test_unknown_pi1_gives_a_conditional_record_without_handles(monkeypatch, cold_memos):
+    # handles are built, as verify checks them, only under a trivial certificate
+    unknown = invariants.Pi1Certificate("unknown", 0)
+    monkeypatch.setattr(invariants, "pi1_certificate", lambda g: unknown)
+    rec = catalogue.build_record(core.canonical_code(fixtures.cp2()).hex())
+    assert rec.classification["conditional"] is True
+    assert rec.handles is None
+    result = catalogue.verify_record(rec)
+    assert result["record-digests"] == "pass"
+    assert not [name for name, status in result.items() if status.startswith("fail")]

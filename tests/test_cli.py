@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gemkit import cli, core, fixtures
+from gemkit import catalogue, cli, core, fixtures
 
 
 def run(capsys, *argv):
@@ -228,3 +228,29 @@ def test_unreadable_input_exits_2(capsys, tmp_path, argv, content):
     # refused before any shard ran: a resumed meta is left as it was
     input_path = tmp_path / "input"
     assert (input_path.read_bytes() if input_path.exists() else None) == content
+
+
+@pytest.mark.parametrize("name, refused, accepted", [
+    ("weak-simple", "4", "5"), ("handle-witness", "4", "5"),
+    ("simply-connected", "3", "4"), ("weak-simple", "6", "5"),
+])
+def test_filter_runs_only_inside_its_color_domain(capsys, monkeypatch, tmp_path,
+                                                  name, refused, accepted):
+    # outside it the run is refused before any shard runs, and writes nothing
+    def shard_ran(*args):
+        raise AssertionError("a shard ran")
+
+    monkeypatch.setattr(catalogue, "run_shard", shard_ran)
+    out_path = tmp_path / "out" / "cat.jsonl"
+    out_path.parent.mkdir()
+    code, out, err = run(capsys, "generate", "--colors", refused, "--max-order", "6",
+                         "--filters", name, "--out", str(out_path))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "structural-error"
+    assert name in error["message"] and refused in error["message"]
+    assert list(out_path.parent.iterdir()) == []
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "--json", "generate", "--colors", accepted, "--max-order", "4",
+                       "--filters", name, "--out", str(out_path))
+    assert code == 0 and json.loads(out)["records"] == 2

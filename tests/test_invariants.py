@@ -270,3 +270,15 @@ def test_beta2_never_exceeds_subgenera(crystallization_corpus_order6):
         rep = genus.genus_all(g)
         for eps in rep.subgenera:
             assert all(beta2 <= s for s in rep.subgenera[eps])
+
+
+def test_beta2_via_genus_refuses_a_non_crystallization_before_asking_pi1(monkeypatch):
+    # a 1-dipole of color 0 splits the residues missing color 0, so neither
+    # gem is a crystallization, whatever its pi1
+    def pi1_asked(g):
+        raise AssertionError("pi1 asked of a non-crystallization")
+
+    monkeypatch.setattr(invariants, "pi1_certificate", pi1_asked)
+    for g in (fixtures.sigma(5), fixtures.nonsimply_connected()):
+        with pytest.raises(StructuralError, match="not a 5-colored crystallization"):
+            invariants.beta2_via_genus(core.add_dipole(g, 0, (0,)))

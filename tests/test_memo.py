@@ -9,15 +9,14 @@ import random
 
 import pytest
 
-from gemkit import catalogue, classification, core, fixtures, handles, recognition
+from gemkit import catalogue, classification, core, fixtures, handles
 
 from conftest import random_relabel
 
 
 def test_memoised_mappings_refuse_item_assignment():
     g = fixtures.cp2()
-    for table, key in ((recognition.is_crystallization(g)[1], 0),
-                       (classification.t_values(g), (0, 1, 2)),
+    for table, key in ((classification.t_values(g), (0, 1, 2)),
                        (catalogue._shard_of_partition(8), (4,))):
         with pytest.raises(TypeError):
             table[key] = 5

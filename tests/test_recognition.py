@@ -123,18 +123,16 @@ def test_sibling_subgenus_bound_without_simple_connectivity():
 
 
 def test_is_crystallization():
-    ok, counts = recognition.is_crystallization(fixtures.sigma(5))
-    assert ok and set(counts.values()) == {1}
-    ok, _ = recognition.is_crystallization(fixtures.cp2())
-    assert ok
+    s5 = fixtures.sigma(5)
+    assert recognition.is_crystallization(s5)
+    assert set(core.hat_residue_counts(s5).values()) == {1}
+    assert recognition.is_crystallization(fixtures.cp2())
     # adding a 1-dipole of color 0 splits the residues missing color 0
     g = core.add_dipole(fixtures.sigma(5), 0, (0,))
-    ok, counts = recognition.is_crystallization(g)
-    assert not ok and counts[0] == 2
+    assert not recognition.is_crystallization(g)
+    assert core.hat_residue_counts(g)[0] == 2
     # a contracted non-manifold gem is not a crystallization
-    tt = fixtures.torus_times_colors()
-    ok, _ = recognition.is_crystallization(tt)
-    assert not ok
+    assert not recognition.is_crystallization(fixtures.torus_times_colors())
 
 
 def test_normalize_singular_color():
@@ -182,5 +180,4 @@ def test_two_singular_colors_refused_by_normalization():
     assert len(sing) >= 2
     with pytest.raises(StructuralError):
         recognition.normalize_singular_color(g)
-    ok, _ = recognition.is_crystallization(g)
-    assert not ok
+    assert not recognition.is_crystallization(g)

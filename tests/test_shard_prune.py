@@ -219,3 +219,22 @@ def test_run_shard_filters_each_code_once(monkeypatch, filters):
                             lambda g, f: filtered.update([g]) or passes(g, f))
         catalogue.run_shard(5, p, index, filters)
         assert all(n == 1 for n in filtered.values()), (p, index)
+
+
+@pytest.mark.parametrize("filters", [("simply-connected",), ("weak-simple",),
+                                     ("handle-witness",)])
+def test_pi1_filters_walk_only_crystallization_leaves(monkeypatch, filters):
+    # each pi1 filter keeps only crystallizations, so its walk prunes as the
+    # crystallization filter's does: the same leaves reach the code
+    calls = []
+    code_of = core.canonical_code
+    monkeypatch.setattr(core, "canonical_code", lambda g: calls.append(g) or code_of(g))
+
+    def walk(f):
+        calls.clear()
+        codes = [catalogue.run_shard(5, p, index, f) for p, index in catalogue.shard_keys(5, 6)]
+        return calls[:], codes
+
+    leaves, codes = walk(("crystallization", "simply-connected"))
+    assert len(leaves) == 25
+    assert walk(filters) == (leaves, codes)
