@@ -313,8 +313,8 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     and a branch dies once its count of unclean triples exceeds what the
     filter allows; the leaf tests only the triples holding the last color.
     The count never falls, so exactly the leaves that the same test at the
-    leaf would pass reach the canonical code.  Each distinct code is
-    decoded and filtered once.
+    leaf would pass reach the canonical code.  Each triple of matchings is
+    tested once per shard, and each distinct code decoded and filtered once.
     """
     if n_colors < 3:
         raise StructuralError("enumeration needs at least 3 colors")
@@ -377,20 +377,29 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     else:
         allowance = None
 
-    def _triple_clean(a, b, c) -> bool:
-        la = merge(ident, mids[a])[0]
-        g_ab = merge(la, mids[b])
-        g_ac = merge(la, mids[c])
-        g_bc = merge(merge(ident, mids[b])[0], mids[c])
-        g_abc = merge(g_ab[0], mids[c])
+    def _triple_clean(ma: int, mb: int, mc: int) -> bool:
+        la = merge(ident, ma)[0]
+        g_ab = merge(la, mb)
+        g_ac = merge(la, mc)
+        g_bc = merge(merge(ident, mb)[0], mc)
+        g_abc = merge(g_ab[0], mc)
         return g_ab[1] + g_ac[1] + g_bc[1] - p // 2 == 2 * g_abc[1]
+
+    # per (earlier mid, mid) of a triple, one byte per third mid: 0 not yet
+    # tested, 1 clean, 2 unclean
+    clean: dict[tuple[int, int], bytearray] = {}
 
     def add_unclean(unclean: int) -> int | None:
         """``unclean`` plus the unclean triples whose last color is the one
         just chosen, or None as soon as that exceeds the allowance."""
-        c = len(mids) - 1
-        for a, b in itertools.combinations(range(c), 2):
-            if not _triple_clean(a, b, c):
+        mc = mids[-1]
+        for a, b in itertools.combinations(mids[:-1], 2):
+            row = clean.get((a, b))
+            if row is None:
+                row = clean[(a, b)] = bytearray(len(all_matchings))
+            if not row[mc]:
+                row[mc] = 1 if _triple_clean(a, b, mc) else 2
+            if row[mc] == 2:
                 unclean += 1
                 if unclean > allowance:
                     return None

@@ -331,7 +331,8 @@ def _bfs_stream(matchings, p, start, color_order, best):
 
     Vertices are renamed 0.. in discovery order, neighbors scanned in
     ``color_order``; the stream lists the renamed neighbor of each vertex,
-    vertex-major then color.  Aborts with None as soon as the stream is
+    vertex-major then color.  Returns ``(stream, order)``, where vertex
+    ``order[i]`` is renamed i, or None as soon as the stream is
     lexicographically worse than ``best``.
     """
     label = [-1] * p
@@ -358,7 +359,7 @@ def _bfs_stream(matchings, p, start, color_order, best):
                     compare = False
             stream.append(lw)
             pos += 1
-    return stream
+    return stream, order
 
 
 @dataclass(frozen=True)
@@ -373,7 +374,8 @@ class CanonicalCode:
 
 
 def _minimal_first_rows(matchings, p, k, permute):
-    """The (start, color order) pairs whose stream has the least first row.
+    """Yield each start whose stream has the least first row, with a lazy
+    iterable of the color orders that attain it.
 
     The first row names the neighbors of the start in first-appearance
     order, so it depends only on how the colors group by the neighbor
@@ -381,7 +383,10 @@ def _minimal_first_rows(matchings, p, k, permute):
     when colors may be permuted the least row lists the groups largest
     first (1,1,1,2,2 beats 1,1,2,2,2 and 1,2,1,...), so the winning starts
     have the greatest descending group-size profile, and every order
-    that keeps the groups contiguous, largest first, attains it.
+    that keeps the groups contiguous, largest first, attains it.  Colors
+    with equal matchings fall in one group, and swapping them leaves the
+    gem and so every stream unchanged: such colors are listed in
+    ascending order only.
     """
     best_row, winners = None, []
     for start in range(p):
@@ -399,18 +404,43 @@ def _minimal_first_rows(matchings, p, k, permute):
             best_row, winners = row, []
         if row == best_row:
             winners.append((start, blocks))
-    if not permute:
-        return [(start, tuple(range(k))) for start, _ in winners]
-    out = []
+    twin = [matchings.index(m) for m in matchings] if permute else None
     for start, blocks in winners:
-        orders = [()]
-        # equal-size groups in any order, colors within a group in any order
-        for _, run in itertools.groupby(blocks, key=len):
-            tails = [sum(inner, ()) for outer in itertools.permutations(run)
-                     for inner in itertools.product(*map(itertools.permutations, outer))]
-            orders = [o + t for o in orders for t in tails]
-        out += [(start, order) for order in orders]
-    return out
+        yield start, (_color_orders(blocks, twin) if permute else (tuple(range(k)),))
+
+
+def _color_orders(blocks, twin):
+    """The color orders listing ``blocks`` contiguously, largest first:
+    equal-size blocks in any order, each block's colors in any order that
+    keeps colors of one ``twin`` class (equal matchings) ascending."""
+    own = [_block_orders(b, twin) for b in blocks]
+    runs = []
+    for _, run in itertools.groupby(range(len(blocks)), key=lambda i: len(blocks[i])):
+        runs.append([sum(inner, ()) for outer in itertools.permutations(run)
+                     for inner in itertools.product(*(own[i] for i in outer))])
+    for parts in itertools.product(*runs):
+        yield sum(parts, ())
+
+
+def _block_orders(block, twin):
+    """The orders of one block's colors, colors of one twin class ascending."""
+    classes = {}
+    for c in block:  # blocks list their colors in ascending order
+        classes.setdefault(twin[c], []).append(c)
+    if len(classes) == len(block):
+        return tuple(itertools.permutations(block))
+    return tuple(_interleavings(list(classes.values())))
+
+
+def _interleavings(seqs):
+    """Every merge of the sequences ``seqs`` that keeps each one's order."""
+    if not any(seqs):
+        yield ()
+        return
+    for i, s in enumerate(seqs):
+        if s:
+            for tail in _interleavings(seqs[:i] + [s[1:]] + seqs[i + 1:]):
+                yield (s[0],) + tail
 
 
 @memo
@@ -422,23 +452,50 @@ def canonical_code(g: ColoredGraph, flavor: str = UP_TO_COLOR_PERMUTATION) -> Ca
     branch-and-bound pruning against the current minimum.  Only the pairs
     whose first row - the labels of the start's neighbors - is least are
     streamed (`_minimal_first_rows`): the least stream has the least
-    first row, since the row is its prefix, so the restriction is exact
-    and the code bytes are those of the full search.  The code is
-    decodable: it contains the full adjacency of the canonical
-    representative.  Orders above 65535 do not fit its 2-byte order field.
+    first row, since the row is its prefix, so the restriction is exact.
+
+    A stream equal to the least so far is an automorphism: it maps the
+    vertex the least stream discovered i-th to the one this stream
+    discovered i-th (and colors position by position).  Start vertices
+    are joined into orbits under the automorphisms found (``find``); a
+    start whose orbit holds a finished start is skipped, and a start is
+    left as soon as a tie joins it to such an orbit.  Every pair so
+    skipped is the image under an automorphism of a streamed pair, with
+    the same stream, so the code bytes are those of the full search.  The
+    code is decodable: it contains the full adjacency of the canonical
+    representative.  Orders above 65535 do not fit its 2-byte order
+    field, nor more than 255 colors its 1-byte color field.
     """
     if flavor not in (COLOR_PRESERVING, UP_TO_COLOR_PERMUTATION):
         raise StructuralError(f"unknown code flavor {flavor!r}")
     p, k = g.order, g.n_colors
     if p > 0xFFFF:
         raise StructuralError(f"canonical codes hold orders up to 65535, not {p}")
+    if k > 0xFF:
+        raise StructuralError(f"canonical codes hold up to 255 colors, not {k}")
     require_connected(g)
-    best = None
-    for start, color_order in _minimal_first_rows(
+    best = best_order = None
+    orbit = list(range(p))  # union-find of the starts under the automorphisms found
+    finished = [False] * p  # by orbit root: the orbit holds a finished start
+    for start, color_orders in _minimal_first_rows(
             g.matchings, p, k, flavor == UP_TO_COLOR_PERMUTATION):
-        stream = _bfs_stream(g.matchings, p, start, color_order, best)
-        if stream is not None:
-            best = stream
+        if finished[find(orbit, start)]:
+            continue
+        for color_order in color_orders:
+            found = _bfs_stream(g.matchings, p, start, color_order, best)
+            if found is None:
+                continue
+            if found[0] != best:
+                best, best_order = found
+                continue
+            for v, w in zip(best_order, found[1]):
+                rv, rw = find(orbit, v), find(orbit, w)
+                if rv != rw:
+                    orbit[rw] = rv
+                    finished[rv] = finished[rv] or finished[rw]
+            if finished[find(orbit, start)]:
+                break
+        finished[find(orbit, start)] = True
     width = 1 if p <= 0xFF else 2
     head = bytes([flavor == UP_TO_COLOR_PERMUTATION, k, width]) + p.to_bytes(2, "big")
     body = b"".join(x.to_bytes(width, "big") for x in best)

@@ -164,18 +164,40 @@ class GenusReport:
         }
 
 
-def fraction_json(v: Fraction):
+def fraction_json(v: Fraction | int):
     """JSON rendering of exact genera: int when integral, 'a/b' otherwise."""
-    v = Fraction(v)
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+def _cyclic_form(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """``seq`` up to rotation and reversal: rotated to its least color, in
+    whichever direction reads less."""
+    if not seq:
+        return seq
+    i = seq.index(min(seq))
+    rot = seq[i:] + seq[:i]
+    return min(rot, rot[:1] + rot[:0:-1])
 
 
 @core.memo
 def genus_all(g: core.ColoredGraph) -> GenusReport:
-    """Genus for every canonical permutation plus all subgenera."""
+    """Genus for every canonical permutation plus all subgenera.
+
+    A subgenus depends on the deleted color and the induced cyclic order
+    only up to rotation and reversal, which many permutations share (15
+    distinct of 60 over five colors): each is read once.
+    """
     perms = all_cyclic_permutations(g.n_colors)
     rho = {e: genus_wrt(g, e) for e in perms}
-    sub = {e: tuple(subgenus(g, e, i) for i in range(g.n_colors)) for e in perms}
+    genera = {}  # induced cyclic order, in its cyclic form -> subgenus
+
+    def sub_of(seq):
+        seq = _cyclic_form(seq)
+        if seq not in genera:
+            genera[seq] = sum(residue_genera(g, seq), Fraction(0))
+        return genera[seq]
+
+    sub = {e: tuple(sub_of(e.delete(i)) for i in range(g.n_colors)) for e in perms}
     regular = min(rho.values())
     connected = all(n == 1 for n in core.hat_residue_counts(g).values())
     return GenusReport(

@@ -1,9 +1,11 @@
 """Canonical codes against a reference: the search over every start.
 
 The reference streams from every start vertex under every color order
-(only the identity order for the color-preserving flavor).  The library
-streams only from the (start, order) pairs with the least first row; its
-code bytes must be identical in both flavors.
+(only the identity order for the color-preserving flavor), with its own
+copy of the stream.  The library streams only from the (start, order)
+pairs with the least first row, lists colors with equal matchings in one
+order, and skips the starts that an automorphism it found maps onto a
+finished start; its code bytes must be identical in both flavors.
 """
 
 from __future__ import annotations
@@ -13,13 +15,43 @@ import random
 
 import pytest
 
-from gemkit import core, fixtures
+from gemkit import catalogue, core, fixtures
 from gemkit.errors import StructuralError
 
 from conftest import (fpf_involutions, naive_connected_gems, random_augment,
                       random_recolor, random_relabel)
 
 FLAVORS = (core.COLOR_PRESERVING, core.UP_TO_COLOR_PERMUTATION)
+
+
+def bfs_stream_oracle(matchings, p, start, color_order, best):
+    """The BFS relabeling's adjacency stream, or None once it is worse than
+    ``best``."""
+    label = [-1] * p
+    label[start] = 0
+    order = [start]
+    nxt = 1
+    stream = []
+    pos = 0
+    compare = best is not None
+    for v in order:
+        for c in color_order:
+            w = matchings[c][v]
+            lw = label[w]
+            if lw < 0:
+                lw = nxt
+                label[w] = nxt
+                nxt += 1
+                order.append(w)
+            if compare:
+                b = best[pos]
+                if lw > b:
+                    return None
+                if lw < b:
+                    compare = False
+            stream.append(lw)
+            pos += 1
+    return stream
 
 
 def canonical_code_oracle(g: core.ColoredGraph, flavor: str) -> bytes:
@@ -33,7 +65,7 @@ def canonical_code_oracle(g: core.ColoredGraph, flavor: str) -> bytes:
     best = None
     for color_order in color_orders:
         for start in range(p):
-            stream = core._bfs_stream(g.matchings, p, start, color_order, best)
+            stream = bfs_stream_oracle(g.matchings, p, start, color_order, best)
             if stream is not None:
                 best = stream
     width = 1 if p <= 0xFF else 2
@@ -78,6 +110,80 @@ def test_matches_oracle_on_buried_gems(fixture):
     rng = random.Random(29)
     _assert_matches_oracle(random_relabel(random_augment(fixture(), rng, 6), rng)
                            for _ in range(3))
+
+
+@pytest.mark.parametrize("n_colors", range(2, 8))
+def test_matches_oracle_on_sigma(n_colors):
+    # every color joins the same two vertices: one order per start is streamed
+    _assert_matches_oracle([fixtures.sigma(n_colors)])
+
+
+def _order8_leaves():
+    """The gems that reach ``canonical_code`` in the order <= 8 5-colored
+    crystallization shards, in the order they reach it."""
+    leaves = []
+    code = core.canonical_code
+
+    def capture(g, *args):
+        leaves.append(g)
+        return code(g, *args)
+
+    core.canonical_code = capture
+    try:
+        for p, i in catalogue.shard_keys(5, 8):
+            catalogue.run_shard(5, p, i, ("crystallization",))
+    finally:
+        core.canonical_code = code
+    return leaves
+
+
+def _count_streams(monkeypatch) -> list[int]:
+    """The start of each ``_bfs_stream`` call from now on, memos cold."""
+    starts = []
+    stream = core._bfs_stream
+
+    def count(matchings, p, start, *args):
+        starts.append(start)
+        return stream(matchings, p, start, *args)
+
+    core.canonical_code.cache_clear()
+    monkeypatch.setattr(core, "_bfs_stream", count)
+    return starts
+
+
+def test_matches_oracle_on_order8_shard_leaves():
+    leaves = _order8_leaves()
+    assert len(leaves) == 538
+    _assert_matches_oracle(leaves)
+
+
+def test_matches_oracle_on_relabelled_order8_corpus(crystallization_corpus_order8):
+    # from labellings that are not canonical, so ties and skipped starts differ
+    rng = random.Random(37)
+    assert len(crystallization_corpus_order8) == 37
+    _assert_matches_oracle(random_recolor(random_relabel(g, rng), rng)
+                           for g in crystallization_corpus_order8)
+
+
+def test_automorphisms_halve_the_streams_of_the_order8_shards(monkeypatch):
+    # the search without orbit pruning streams 23,400 (start, order) pairs here
+    starts = _count_streams(monkeypatch)
+    _order8_leaves()
+    assert 0 < len(starts) < 11_700
+
+
+def test_equal_matchings_stream_one_order_per_start(monkeypatch):
+    starts = _count_streams(monkeypatch)
+    code = core.canonical_code(fixtures.sigma(64))
+    assert code.data == bytes([1, 64, 1, 0, 2]) + bytes([1] * 64 + [0] * 64)
+    # start 1 ties start 0: the automorphism swapping them ends the search
+    assert starts == [0, 1]
+
+
+def test_code_refuses_more_than_255_colors():
+    assert core.canonical_code(fixtures.sigma(255)).data[1] == 255
+    with pytest.raises(StructuralError, match="255 colors"):
+        core.canonical_code(fixtures.sigma(256))
 
 
 def test_code_refuses_orders_beyond_two_bytes():

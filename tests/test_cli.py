@@ -108,6 +108,17 @@ def test_canon_command(capsys, gem_file):
     assert report["canonical_code"] == core.canonical_code(fixtures.rp3()).hex()
 
 
+def test_canon_of_many_colors(capsys, gem_file):
+    # a code's header holds the color count in one byte
+    code, out, err = run(capsys, "--json", "canon", gem_file(fixtures.sigma(64), "s64.gem"))
+    assert code == 0 and err == ""
+    assert json.loads(out)["canonical_code"] == "014001" + "0002" + "01" * 64 + "00" * 64
+    code, out, err = run(capsys, "--json", "canon", gem_file(fixtures.sigma(256), "s256.gem"))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "structural-error" and "255 colors" in error["message"]
+
+
 def test_exit_1_analysis_refused(capsys, gem_file):
     path = gem_file(fixtures.nonsimply_connected(), "n.gem")
     code, out, err = run(capsys, "classify", path)

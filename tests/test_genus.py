@@ -94,6 +94,25 @@ def test_genus_all_cp2_witness_structure():
         assert all(s == 1 for s in rep.subgenera[eps])
 
 
+def test_genus_all_reads_each_induced_order_once(monkeypatch):
+    # 12 cyclic orders, then 5 deleted colors times the 3 cyclic orders of
+    # the other four: 27 reads, where one per (order, position) made 72
+    seqs = []
+    residue_genera = genus.residue_genera
+
+    def spy(g, seq):
+        seqs.append(seq)
+        return residue_genera(g, seq)
+
+    g = fixtures.cp2()
+    genus.genus_all.cache_clear()
+    monkeypatch.setattr(genus, "residue_genera", spy)
+    rep = genus.genus_all(g)
+    assert len(seqs) == 27
+    assert rep.subgenera == {e: tuple(genus.subgenus(g, e, i) for i in range(5))
+                             for e in genus.all_cyclic_permutations(5)}
+
+
 def test_genus_invariant_under_relabeling():
     rng = random.Random(8)
     g = fixtures.cp2()
