@@ -282,7 +282,7 @@ def build_record(code_hex: str) -> CatalogueRecord:
 # Shard enumeration
 # ---------------------------------------------------------------------------
 
-def shard_keys(n_colors: int, max_order: int) -> list[tuple[int, int]]:
+def shard_keys(max_order: int) -> list[tuple[int, int]]:
     keys = []
     for p in range(2, max_order + 1, 2):
         keys += [(p, i) for i in range(len(canonical_second_matchings(p)))]
@@ -490,7 +490,7 @@ def enumerate_gems(n_colors: int, max_order: int, filters=()) -> list[CatalogueR
     """In-process enumeration; returns records sorted by canonical code."""
     filters = _check_run(n_colors, max_order, filters)
     codes = set()
-    for _, shard in _run_shards(n_colors, shard_keys(n_colors, max_order), filters):
+    for _, shard in _run_shards(n_colors, shard_keys(max_order), filters):
         codes.update(shard)
     return [build_record(c) for c in sorted(codes)]
 
@@ -563,7 +563,7 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
     def write_meta():
         _write_atomic(meta_path, [json.dumps(meta, indent=1, sort_keys=True)])
 
-    names = {key: f"{key[0]}:{key[1]}" for key in shard_keys(n_colors, max_order)}
+    names = {key: f"{key[0]}:{key[1]}" for key in shard_keys(max_order)}
     pending = [key for key, name in names.items() if not isinstance(shards.get(name), list)]
     for key, codes in _run_shards(n_colors, pending, filters, jobs):
         shards[names[key]] = sorted(codes)

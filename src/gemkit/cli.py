@@ -65,7 +65,7 @@ def cmd_info(args) -> dict:
     report["connected"] = core.is_connected(g)
     report["hat_residue_counts"] = {
         str(c): n for c, n in core.hat_residue_counts(g).items()}
-    if g.n_colors >= 3 and report["connected"]:
+    if g.n_colors >= 3:
         mc = recognition.check_closed_manifold(g)
         report["manifold_class"] = mc.to_json()
         _note_conditional(report, "manifold_class")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -55,16 +56,20 @@ class CyclicPermutation:
         return "(" + ",".join(str(c) for c in self.seq) + ")"
 
 
+def cyclic_permutations(n_colors: int) -> Iterator[CyclicPermutation]:
+    """The canonical cyclic orderings of 0..n_colors-1 in lexicographic
+    order, one at a time (k!/2 /k classes; 12 for five colors, 3 for four,
+    1 for three)."""
+    top = n_colors - 1
+    for perm in itertools.permutations(range(top)):
+        if perm <= perm[::-1]:
+            yield CyclicPermutation(perm + (top,))
+
+
 @core.memo
 def all_cyclic_permutations(n_colors: int) -> tuple[CyclicPermutation, ...]:
-    """All canonical cyclic orderings of 0..n_colors-1 (k!/2 /k classes;
-    12 for five colors, 3 for four, 1 for three)."""
-    top = n_colors - 1
-    out = []
-    for perm in itertools.permutations(range(top)):
-        if perm <= tuple(reversed(perm)):
-            out.append(CyclicPermutation(perm + (top,)))
-    return tuple(sorted(out, key=lambda e: e.seq))
+    """``cyclic_permutations(n_colors)`` as a tuple."""
+    return tuple(cyclic_permutations(n_colors))
 
 
 def as_permutation(g: core.ColoredGraph, eps) -> CyclicPermutation:

@@ -294,13 +294,6 @@ def h1_from_presentation(pres: Presentation) -> tuple[int, tuple[int, ...]]:
     return _abelian_invariants(gens, rows)
 
 
-def abelian_rank(pres: Presentation) -> int:
-    """Minimal generator count of the abelianization: a lower bound for the
-    rank of the presented group."""
-    free_rank, torsion = h1_from_presentation(pres)
-    return free_rank + len(torsion)
-
-
 # ---------------------------------------------------------------------------
 # Tietze simplification
 # ---------------------------------------------------------------------------
@@ -465,7 +458,8 @@ class Pi1Certificate:
 
 @core.memo
 def pi1_certificate(g: core.ColoredGraph) -> Pi1Certificate:
-    m = abelian_rank(presentation_raw(g, *color_pair(g)))
+    free_rank, torsion = h1_from_presentation(presentation_raw(g, *color_pair(g)))
+    m = free_rank + len(torsion)
     if m > 0:
         return Pi1Certificate("nontrivial", m)
     sing = recognition.singular_colors(g)

@@ -107,7 +107,7 @@ def _genus_zero_orders(g: core.ColoredGraph, key) -> list:
     them, the first cyclic order of ``key`` at which it has genus 0, or
     None; read off g, and stopped once every residue has one."""
     found = [None] * core.residue_count(g, key)
-    for eps in genus.all_cyclic_permutations(len(key)):
+    for eps in genus.cyclic_permutations(len(key)):
         for i, rho in enumerate(genus.residue_genera(g, [key[j] for j in eps.seq])):
             if rho == 0 and found[i] is None:
                 found[i] = eps
@@ -120,11 +120,11 @@ def _genus_zero_orders(g: core.ColoredGraph, key) -> list:
 def sphere_certificate(g: core.ColoredGraph) -> SphereCertificate:
     """Try to decide whether a connected k-colored gem represents a sphere.
 
-    Chain: trivial low dimensions; the closed-manifold check (a singular or
-    non-manifold complex is certainly not a sphere, and a failing residue is
-    itself a genus obstruction); any genus-0 permutation, before and after
-    dipole reduction (which may also reach order 2); nontrivial H1 as an
-    obstruction; else unknown.
+    Trivial in low dimensions; from 4 colors on, g is certified as its own
+    single residue by ``_hat_certificates``: a genus-zero order, else the
+    closed-manifold check (a singular or non-manifold complex is certainly
+    not a sphere), then dipole reduction, which may reach order 2 or a
+    genus-zero order; nontrivial H1 as an obstruction; else unknown.
     """
     core.require_connected(g)
     k = g.n_colors
@@ -134,22 +134,17 @@ def sphere_certificate(g: core.ColoredGraph) -> SphereCertificate:
         return SphereCertificate(CERTIFIED_SPHERE, "genus-zero")
     if k == 3:
         return _surface_certificate(classify_surface(g)[0])
-    mc = check_closed_manifold(g)
-    if mc.verdict != f"closed-{k - 1}-manifold":
+    certs = _hat_certificates(g, tuple(g.colors))
+    if certs is None:
         return SphereCertificate(
             CERTIFIED_NONSPHERE, "genus-zero",
-            detail=f"some residue obstructs: {mc.verdict}")
-    if mc.conditional:
-        # closed-manifold-hood itself rests on unknowns; claim nothing
-        return SphereCertificate(UNKNOWN, None)
-    eps = _genus_zero_orders(g, g.colors)[0]
-    if eps is not None:
-        return SphereCertificate(CERTIFIED_SPHERE, "genus-zero", detail=str(eps))
-    return _reduction_certificate(g)
+            detail=f"some residue obstructs: {check_closed_manifold(g).verdict}")
+    return certs[0]
 
 
 def _reduction_certificate(g: core.ColoredGraph) -> SphereCertificate:
-    """``sphere_certificate`` from its reduction on; every dipole of g is proper."""
+    """Sphere certificate of an unconditional closed manifold g with no
+    genus-zero order, from its reduction on; every dipole of g is proper."""
     reduced = core.reduce_dipoles(g, certify=False)
     if reduced.order == 2:
         return SphereCertificate(CERTIFIED_SPHERE, "dipole-reduction-to-order-2")
@@ -174,10 +169,10 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
 
     3-colored graphs always represent surfaces.  A 4-colored graph is a
     closed 3-manifold when all its surface residues are spheres, otherwise
-    a singular 3-manifold.  A 5-colored graph must first have every
-    3-colored residue of genus 0 (else it is not a manifold complex at
-    all); sphere recognition on the 4-colored residues then separates
-    closed from singular.
+    a singular 3-manifold.  From 5 colors on, every 3-colored residue must
+    have genus 0 and every hat-residue must represent a closed manifold
+    (else it is not a manifold complex at all); sphere recognition on the
+    hat-residues then separates closed from singular.
     """
     core.require_connected(g)
     k = g.n_colors
@@ -190,8 +185,6 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
                              conditional=False, surface_genus=rho,
                              orientable=orientable)
     if k >= 5:
-        # every residue over 3 colors must be a 2-sphere, equivalently
-        # every hat-residue represents a closed (n-1)-manifold.
         for triple in itertools.combinations(range(k), 3):
             for rho in genus.residue_genera(g, triple):
                 cert = _surface_certificate(rho)
@@ -200,18 +193,12 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
                         verdict=NOT_A_MANIFOLD, dimension=n, singular_colors=(),
                         conditional=False, certificates=((triple[0], (replace(
                             cert, detail=f"{triple}-residue has {cert.detail}"),)),))
-    if k > 5:
-        for key in (core.complement_key((c,), k) for c in g.colors):
-            labels, count = core.residue_labels(g, key)
-            for i in range(count):
-                sub = check_closed_manifold(core.residue_graph(
-                    g.matchings, key, [v for v, lab in enumerate(labels) if lab == i]))
-                if not sub.is_manifold or sub.singular_colors:
-                    return ManifoldClass(verdict=NOT_A_MANIFOLD, dimension=n,
-                                         singular_colors=(), conditional=False)
     singular, certs = [], []
     for c in g.colors:
         col = _hat_certificates(g, core.complement_key((c,), k))
+        if col is None:
+            return ManifoldClass(verdict=NOT_A_MANIFOLD, dimension=n,
+                                 singular_colors=(), conditional=False)
         if any(s.status == CERTIFIED_NONSPHERE for s in col):
             singular.append(c)
         certs.append((c, col))
@@ -224,20 +211,32 @@ def check_closed_manifold(g: core.ColoredGraph) -> ManifoldClass:
                          conditional=conditional, certificates=tuple(certs))
 
 
-def _hat_certificates(g: core.ColoredGraph, key) -> tuple[SphereCertificate, ...]:
-    """Certificates of the ``key``-residues of g, ``key`` lacking one color.
-    A residue with a genus-zero order is an unconditional closed manifold
-    (its residues' genera are at most its own), and ``sphere_certificate``
-    gives its first such order, read here off g.  One with none is built,
-    and at k = 5 (its 3-residues are g's, just certified) reduced at once."""
+def _hat_certificates(g: core.ColoredGraph, key) -> tuple[SphereCertificate, ...] | None:
+    """Sphere certificates of the ``key``-residues of g, in
+    ``core.residue_labels`` order, or None when one of them is no closed
+    manifold.  A residue with a genus-zero order, read off g, is an
+    unconditional closed manifold (its residues' genera are at most its
+    own) and a sphere.  One with none is built and gets its own manifold
+    check, except over 4 colors of a larger gem: its 3-residues are g's,
+    certified a moment before.  A conditional check gives unknown; else
+    the residue is reduced."""
     if len(key) == 3:
         return tuple(map(_surface_certificate, genus.residue_genera(g, key)))
-    labels = core.residue_labels(g, key)[0]
-    certify = _reduction_certificate if len(key) == 4 else sphere_certificate
-    return tuple(SphereCertificate(CERTIFIED_SPHERE, "genus-zero", detail=str(eps))
-                 if eps is not None else certify(core.residue_graph(
-                     g.matchings, key, [v for v, lab in enumerate(labels) if lab == i]))
-                 for i, eps in enumerate(_genus_zero_orders(g, key)))
+    labels, certs = core.residue_labels(g, key)[0], []
+    for i, eps in enumerate(_genus_zero_orders(g, key)):
+        if eps is not None:
+            certs.append(SphereCertificate(CERTIFIED_SPHERE, "genus-zero", detail=str(eps)))
+            continue
+        h = core.residue_graph(g.matchings, key, [v for v, lab in enumerate(labels) if lab == i])
+        if len(key) > 4 or len(key) == g.n_colors:
+            mc = check_closed_manifold(h)
+            if mc.verdict != f"closed-{len(key) - 1}-manifold":
+                return None
+            if mc.conditional:  # closed-manifold-hood rests on unknowns
+                certs.append(SphereCertificate(UNKNOWN, None))
+                continue
+        certs.append(_reduction_certificate(h))
+    return tuple(certs)
 
 
 @core.memo

@@ -127,7 +127,7 @@ def small_manifold_corpus():
 
     gems = []
     for p in (2, 4, 6, 8):
-        for p_, i in catalogue.shard_keys(4, p):
+        for p_, i in catalogue.shard_keys(p):
             if p_ != p:
                 continue
             for code in catalogue.run_shard(4, p, i, ()):

@@ -130,7 +130,7 @@ def _order8_leaves():
 
     core.canonical_code = capture
     try:
-        for p, i in catalogue.shard_keys(5, 8):
+        for p, i in catalogue.shard_keys(8):
             catalogue.run_shard(5, p, i, ("crystallization",))
     finally:
         core.canonical_code = code

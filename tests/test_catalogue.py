@@ -91,7 +91,7 @@ def test_generate_resume_completes_partial_run(tmp_path):
     parts = Path(str(resumed) + ".parts")
     parts.mkdir()
     # simulate an interrupted run: only the first shard finished
-    keys = catalogue.shard_keys(3, 6)
+    keys = catalogue.shard_keys(6)
     first = keys[0]
     codes = catalogue.run_shard(3, first[0], first[1], ())
     (parts / f"shard-{first[0]}-{first[1]}.json").write_text(json.dumps(codes))
@@ -116,7 +116,7 @@ def test_resume_reruns_done_shard_with_missing_part(tmp_path):
     meta_path = Path(str(resumed) + ".meta")
     (tmp_path / "resumed.jsonl.parts").mkdir()
     # every shard checkpointed as done, but no part file survived
-    keys = catalogue.shard_keys(3, 6)
+    keys = catalogue.shard_keys(6)
     meta_path.write_text(json.dumps({
         "schema": "gemkit-catalogue-meta/1",
         "params": {"n_colors": 3, "max_order": 6, "filters": []},
@@ -133,7 +133,7 @@ def test_resume_reruns_done_shard_with_missing_part(tmp_path):
 
 
 def test_killed_run_resumes_from_meta_alone(tmp_path, monkeypatch):
-    keys = catalogue.shard_keys(4, 6)
+    keys = catalogue.shard_keys(6)
     run_shard = catalogue.run_shard
     calls = []
 
@@ -258,7 +258,7 @@ def test_enumeration_covers_random_samples_at_order_10():
     import random
 
     codes = set()
-    for p, i in catalogue.shard_keys(3, 10):
+    for p, i in catalogue.shard_keys(10):
         if p == 10:
             codes.update(catalogue.run_shard(3, 10, i, ()))
     assert len(codes) == 81  # frozen on first run

@@ -141,6 +141,15 @@ def test_exit_2_structural_error(capsys, gem_file):
     assert json.loads(err)["error"]["type"] == "structural-error"
 
 
+def test_info_refuses_a_disconnected_gem(capsys, gem_file):
+    # two order-2 3-colored components: refused by the canonical code
+    path = gem_file(core.ColoredGraph(((1, 0, 3, 2),) * 3), "two.gem")
+    code, out, err = run(capsys, "--json", "info", path)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "structural-error"
+
+
 def test_exit_3_internal_consistency(capsys, tmp_path):
     # a corrupted catalogue line triggers the verify failure path
     recs_path = tmp_path / "cat.jsonl"

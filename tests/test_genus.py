@@ -16,6 +16,14 @@ def test_canonical_permutation_class_counts():
     assert len(genus.all_cyclic_permutations(5)) == 12
 
 
+def test_cyclic_permutations_stream_the_canonical_orders_in_order():
+    for n in range(3, 8):
+        every = {genus.CyclicPermutation.canonical(p) for p in itertools.permutations(range(n))}
+        expected = tuple(sorted(every, key=lambda e: e.seq))
+        assert tuple(genus.cyclic_permutations(n)) == expected
+        assert genus.all_cyclic_permutations(n) == expected
+
+
 def test_canonical_form_fixes_reversal_and_rotation():
     e = genus.CyclicPermutation.canonical((2, 0, 1, 3, 4))
     assert e.seq[-1] == 4

@@ -2,8 +2,7 @@
 
 `genus.residue_genera` counts each residue's bicolored cycles from the
 whole gem's labellings, and `recognition.check_closed_manifold` reads its
-surface residues and the genus-zero orders of its 4-colored hat-residues
-from it.  The oracle here is the route that builds a standalone gem for
+surface residues and the genus-zero orders of its hat-residues from it.  The oracle here is the route that builds a standalone gem for
 every residue (`core.extract_residues`), takes the genus of each one and
 certifies every hat-residue recursively through `sphere_certificate`; its
 manifold verdicts, genus reports and subgenera must be identical.
@@ -248,15 +247,26 @@ def test_six_colored_gem_matches_the_oracle():
     assert repr(recognition.check_closed_manifold(g)) == repr(oracle_check(g))
     assert repr(recognition.check_closed_manifold(double(fixtures.cp2()))) == \
         repr(oracle_check(double(fixtures.cp2())))
+    # a singular 5-colored hat-residue (two copies of a gem with boundary)
+    # makes g no manifold complex, with no certificate
+    for h in (fixtures.rp3_boundary(), fixtures.nonsimply_connected()):
+        mc = recognition.check_closed_manifold(double(h))
+        assert (mc.verdict, mc.certificates) == (recognition.NOT_A_MANIFOLD, ())
     # 5-colored hat-residues read their genus-zero orders off g, as at k = 5
-    verdicts = set()
+    verdicts, refusals = set(), set()
+    gems = [double(fixtures.rp3_boundary()), double(fixtures.nonsimply_connected())]
     for seed in range(10):
-        for g in six_colored_inputs(seed):
-            assert g.n_colors == 6
-            mc = recognition.check_closed_manifold(g)
-            assert repr(mc) == repr(oracle_check(g))
-            verdicts.add(mc.verdict)
+        gems += six_colored_inputs(seed)
+    for g in gems:
+        assert g.n_colors == 6
+        mc = recognition.check_closed_manifold(g)
+        assert repr(mc) == repr(oracle_check(g))
+        verdicts.add(mc.verdict)
+        if mc.verdict == recognition.NOT_A_MANIFOLD:
+            refusals.add(len(mc.certificates))
     assert {recognition.NOT_A_MANIFOLD, "closed-5-manifold"} <= verdicts
+    # refused by a hat-residue (no certificate) and by a triple (one)
+    assert refusals == {0, 1}
 
 
 def test_residue_genera_refuses_colors_out_of_range():
@@ -307,6 +317,24 @@ def test_manifold_check_builds_no_surface_gem(monkeypatch):
     for h in hats:
         assert h.n_colors == 4
         assert all(genus.genus_wrt(h, eps) > 0 for eps in genus.all_cyclic_permutations(4))
+
+
+def test_manifold_check_of_sigma_walks_the_cyclic_orders_lazily():
+    # every hat-residue of sigma(11) has genus 0 at the first of the 9!/2
+    # cyclic orders of its colors, so no list of them is built
+    import tracemalloc
+
+    g = fixtures.sigma(11)
+    for memo in core.MEMOS:
+        memo.cache_clear()
+    tracemalloc.start()
+    try:
+        mc = recognition.check_closed_manifold(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mc.verdict == "closed-10-manifold" and not mc.conditional
+    assert peak < 5 * 2**20, peak
 
 
 def test_hat_certificates_match_sphere_certificate_on_the_built_residue():

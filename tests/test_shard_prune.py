@@ -194,7 +194,7 @@ def test_run_shard_matches_leaf_prune_oracle(monkeypatch, k, max_order, filters)
     monkeypatch.setattr(core, "canonical_code", lambda g: calls.append(g) or code_of(g))
     found: set[str] = set()
     expected: set[str] = set()
-    for p, index in catalogue.shard_keys(k, max_order):
+    for p, index in catalogue.shard_keys(max_order):
         codes = catalogue.run_shard(k, p, index, filters)
         leaves = calls[:]
         calls.clear()
@@ -213,7 +213,7 @@ def test_run_shard_matches_leaf_prune_oracle(monkeypatch, k, max_order, filters)
                                      ("crystallization", "simply-connected")])
 def test_run_shard_filters_each_code_once(monkeypatch, filters):
     passes = catalogue._passes_expensive
-    for p, index in catalogue.shard_keys(5, 8):
+    for p, index in catalogue.shard_keys(8):
         filtered = collections.Counter()
         monkeypatch.setattr(catalogue, "_passes_expensive",
                             lambda g, f: filtered.update([g]) or passes(g, f))
@@ -232,7 +232,7 @@ def test_pi1_filters_walk_only_crystallization_leaves(monkeypatch, filters):
 
     def walk(f):
         calls.clear()
-        codes = [catalogue.run_shard(5, p, index, f) for p, index in catalogue.shard_keys(5, 6)]
+        codes = [catalogue.run_shard(5, p, index, f) for p, index in catalogue.shard_keys(6)]
         return calls[:], codes
 
     leaves, codes = walk(("crystallization", "simply-connected"))
