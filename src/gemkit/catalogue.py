@@ -305,16 +305,17 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
 
     The nondecreasing matching tuples are walked as a tree carrying, per
     potential deleted color, the vertex partition of the matchings chosen
-    so far; partition merges are memoized, and in crystallization runs
-    (some filter keeps only crystallizations) a leaf dies as soon as the
-    partition missing only the last color is disconnected.  In manifold
+    so far; only these DFS states are memoized, and in crystallization
+    runs (some filter keeps only crystallizations) a leaf dies as soon as
+    the partition missing only the last color is disconnected.  In manifold
     and crystallization runs over k >= 4 colors each color triple's
     sphere condition is tested at the depth that chooses its last color,
     and a branch dies once its count of unclean triples exceeds what the
     filter allows; the leaf tests only the triples holding the last color.
     The count never falls, so exactly the leaves that the same test at the
-    leaf would pass reach the canonical code.  Each triple of matchings is
-    tested once per shard, and each distinct code decoded and filtered once.
+    leaf would pass reach the canonical code.  Each pair of matchings is
+    walked and each triple tested once per shard, and each distinct code
+    decoded and filtered once.
     """
     if n_colors < 3:
         raise StructuralError("enumeration needs at least 3 colors")
@@ -322,8 +323,10 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     pi0 = standard_matching(p)
     pi1 = canonical_second_matchings(p)[shard_index]
     rank = _shard_of_partition(p)
+    cycles = [len(part) for part in rank]  # the bicolored cycles of a pair, by its rank
     # every matching of rank >= shard_index with pi0 is >= pi1, its orbit minimum
-    pool = [m for m in fpf_involutions(p) if rank[_cycle_partition(pi0, m)] >= shard_index]
+    with_pi0 = {m: rank[_cycle_partition(pi0, m)] for m in fpf_involutions(p)}
+    pool = [m for m, r in with_pi0.items() if r >= shard_index]
     least = _orbit_minima(pool, _stabilizer_generators(pi0, pi1))
     crys = any(FILTERS[f].crystallization for f in filters)
     want_bipartite = "bipartite" in filters
@@ -331,8 +334,10 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     all_matchings = [pi0, pi1] + pool
     pairs_of = [tuple((v, m[v]) for v in range(p) if v < m[v]) for m in all_matchings]
     cache: dict[tuple, tuple] = {}
-    # per earlier mid, one byte per mid: 0 not yet ranked, 1 at or above the shard, 2 below
-    ranked: dict[int, bytearray] = {}
+    # per earlier mid, one byte per mid: 0 unread, else 1 + the pair's rank
+    # (fits a byte while p/2 <= 16, 231 partitions; past that bytearray
+    # raises ValueError, never wraps).  Pairs with pi0 were read for the pool.
+    ranked = {0: bytearray(1 + with_pi0[m] for m in all_matchings)}
 
     def merge(labels: tuple, mid: int) -> tuple:
         """Partition after adding one matching; memoized on (labels, mid)."""
@@ -344,15 +349,14 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
 
     def ranks_in_shard(mid: int) -> bool:
         """Whether the matching ``mid`` ranks >= the shard with pi1 and with
-        every color chosen before it; memoized on (earlier mid, mid)."""
+        every color chosen before it; each pair's rank is read once."""
         for earlier in mids[1:]:
             row = ranked.get(earlier)
             if row is None:
                 row = ranked[earlier] = bytearray(len(all_matchings))
             if not row[mid]:
-                part = _cycle_partition(all_matchings[earlier], all_matchings[mid])
-                row[mid] = 1 if rank[part] >= shard_index else 2
-            if row[mid] == 2:
+                row[mid] = 1 + rank[_cycle_partition(all_matchings[earlier], all_matchings[mid])]
+            if row[mid] <= shard_index:
                 return False
         return True
 
@@ -362,11 +366,12 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     l01 = merge(l0, 1)[0]
     init_states = tuple(l1 if h == 0 else (l0 if h == 1 else l01) for h in range(k))
     # Sphere prune mirroring the dimension-specific manifold demands: a
-    # 3-colored residue is a union of spheres iff its pair counts satisfy
-    # g_ab + g_bc + g_ca - p/2 == 2 * g_abc.  For k >= 5 every triple must be
-    # clean (exactly the manifold-complex condition); for k == 4
-    # crystallizations at most one color may own non-sphere residues (one
-    # singular color); other 4-colored runs and surfaces have no condition.
+    # 3-colored residue is a union of spheres iff its cycle counts satisfy
+    # g_ab + g_bc + g_ca - p/2 == 2 * g_abc, the pair counts read off
+    # ranked.  For k >= 5 every triple must be clean (exactly the
+    # manifold-complex condition); for k == 4 crystallizations at most one
+    # color may own non-sphere residues (one singular color); other
+    # 4-colored runs and surfaces have no condition.
     # Each triple is tested once, when its last color is chosen, and the
     # count of unclean triples rides down the tree; it never falls, so a
     # branch dies as soon as it exceeds the allowance.
@@ -377,13 +382,11 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     else:
         allowance = None
 
-    def _triple_clean(ma: int, mb: int, mc: int) -> bool:
-        la = merge(ident, ma)[0]
-        g_ab = merge(la, mb)
-        g_ac = merge(la, mc)
-        g_bc = merge(merge(ident, mb)[0], mc)
-        g_abc = merge(g_ab[0], mc)
-        return g_ab[1] + g_ac[1] + g_bc[1] - p // 2 == 2 * g_abc[1]
+    def _triple_clean(a: int, b: int, c: int) -> bool:
+        """The sphere test of colors a, b, c, chosen in that order."""
+        g_abc = core.join_classes(ident, itertools.chain(pairs_of[a], pairs_of[b], pairs_of[c]))[1]
+        return (cycles[ranked[a][b] - 1] + cycles[ranked[a][c] - 1] + cycles[ranked[b][c] - 1]
+                - p // 2 == 2 * g_abc)
 
     # per (earlier mid, mid) of a triple, one byte per third mid: 0 not yet
     # tested, 1 clean, 2 unclean

@@ -672,10 +672,8 @@ def add_dipole(g: ColoredGraph, at_vertex: int, colors) -> ColoredGraph:
     residue of v is then the order-2 sphere {v, at_vertex}, so the insertion
     is always proper, and eliminating (u, v) restores g exactly.
     """
-    colors = residue_key(colors)
+    colors = checked_key(g, colors)
     k, p = g.n_colors, g.order
-    if colors[-1] >= k:
-        raise StructuralError("dipole color out of range")
     if not 1 <= len(colors) <= k - 1:
         raise StructuralError("dipole must use between 1 and k-1 colors")
     if not 0 <= at_vertex < p:

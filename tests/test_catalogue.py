@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -370,3 +373,18 @@ def test_unknown_pi1_gives_a_conditional_record_without_handles(monkeypatch, col
     result = catalogue.verify_record(rec)
     assert result["record-digests"] == "pass"
     assert not [name for name, status in result.items() if status.startswith("fail")]
+
+
+def test_a_shard_keeps_no_triple_partitions():
+    # the per-shard tables hold DFS states, pair ranks and triple bytes;
+    # measured in a fresh process, so earlier tests' memos do not count
+    script = ("import tracemalloc\n"
+              "from gemkit import catalogue\n"
+              "tracemalloc.start()\n"
+              "catalogue.run_shard(5, 8, 0, ('crystallization',))\n"
+              "print(tracemalloc.get_traced_memory()[1])\n")
+    paths = [str(Path(catalogue.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 1.4 * 2**20

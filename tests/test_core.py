@@ -261,6 +261,13 @@ def test_add_then_eliminate_is_identity():
             assert back == g0  # exact, not just isomorphic
 
 
+@pytest.mark.parametrize("colors", [(-1,), (0, 5)])
+def test_add_dipole_refuses_colors_outside_the_gem(colors):
+    # a negative color would index the matchings from the end
+    with pytest.raises(StructuralError):
+        core.add_dipole(fixtures.cp2(), 0, colors)
+
+
 def test_eliminate_requires_valid_dipole():
     s5 = fixtures.sigma(5)
     with pytest.raises(StructuralError):
