@@ -126,24 +126,22 @@ def _cycle_partition(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 @core.memo
 def canonical_second_matchings(p: int) -> tuple[tuple[int, ...], ...]:
     """One stabilizer-minimal second matching per alternating-cycle
-    partition of p/2, sorted: the shard keys of the enumeration.  Each is
-    the least single-cycle layout of each part, in ascending part order."""
+    partition of p/2, in partition order, which is sorted: the shard keys.
+    Each is the least single-cycle layout of each part, parts ascending."""
     reps = []
     for part in _partitions(p // 2):
         m: list[int] = []
         for length in part:
             m += [len(m) + x for x in _cycle_layout(length)]
         reps.append(tuple(m))
-    return tuple(sorted(reps))
+    return tuple(reps)
 
 
 @core.memo
 def _shard_of_partition(p: int) -> MappingProxyType:
-    """The shard index of each cycle partition of p/2 (read-only).  The
-    rank of a pair of matchings is the index of their partition."""
-    pi0 = standard_matching(p)
-    return MappingProxyType({_cycle_partition(pi0, m): i
-                             for i, m in enumerate(canonical_second_matchings(p))})
+    """The shard index of each cycle partition of p/2, its place among the
+    partitions (read-only).  The rank of two matchings is their partition's."""
+    return MappingProxyType({part: i for i, part in enumerate(_partitions(p // 2))})
 
 
 def _stabilizer_generators(pi0: tuple[int, ...], pi1: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -470,13 +468,14 @@ def _check_run(n_colors: int, max_order: int, filters) -> tuple[str, ...]:
 
 
 def _run_shards(n_colors: int, keys, filters: tuple[str, ...], jobs: int = 1):
-    """Yield ``(key, codes)`` for each shard key of ``keys`` in order, run
-    in this process or, when ``jobs > 1``, in ``jobs`` worker processes."""
-    if jobs <= 1:
+    """Yield ``(key, codes)`` for each shard key of the list ``keys`` in order,
+    run in min(jobs, len(keys)) worker processes if that exceeds 1, else here."""
+    workers = min(jobs, len(keys))
+    if workers <= 1:
         for p, i in keys:
             yield (p, i), run_shard(n_colors, p, i, filters)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from zip(keys, pool.map(run_shard, itertools.repeat(n_colors),
                                       [p for p, _ in keys], [i for _, i in keys],
                                       itertools.repeat(filters)))
@@ -520,9 +519,9 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
     under its "p:i" key and the file is replaced atomically, so a run
     killed at any instant can be resumed with the same meta path.  A shard
     is done exactly when its entry is a code list; any other entry (such as
-    the "done" flag of an older checkpoint) runs again.  Record lines carry
-    no timestamps: two runs with different job counts produce
-    byte-identical catalogues.
+    the "done" flag of an older checkpoint) runs again.  Records are written
+    in code order as they are built, one at a time, and carry no timestamps:
+    two runs with different job counts produce byte-identical catalogues.
     """
     filters = _check_run(n_colors, max_order, filters)
     path = Path(path)
@@ -530,7 +529,7 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
 
     if resume_meta and meta_path.exists():
         try:
-            meta = json.loads(core.read_text(meta_path))
+            meta = json.loads("".join(core.read_lines(meta_path)))
         except (ValueError, RecursionError) as exc:
             raise GemFormatError(f"bad meta file {meta_path}: {exc}") from exc
         if not (isinstance(meta, dict) and isinstance(meta.get("params"), dict)
@@ -572,18 +571,23 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
         shards[names[key]] = sorted(codes)
         write_meta()
 
-    codes = set().union(*(shards[name] for name in names.values()))
-    records = [build_record(c) for c in sorted(codes)]
-    _write_atomic(path, (rec.to_json_line() + "\n" for rec in records))
+    codes = sorted(set().union(*(shards[name] for name in names.values())))
+    _write_atomic(path, (build_record(c).to_json_line() + "\n" for c in codes))
     meta["completed"] = datetime.now(timezone.utc).isoformat()
-    meta["records"] = len(records)
+    meta["records"] = len(codes)
     write_meta()
-    return {"records": len(records), "path": str(path), "meta": str(meta_path)}
+    return {"records": len(codes), "path": str(path), "meta": str(meta_path)}
+
+
+def _records_of(path):
+    """The records of the catalogue file at ``path``, parsed as each line is read."""
+    lines = (line.strip() for line in core.read_lines(path))
+    return (CatalogueRecord.from_json_line(line) for line in lines if line)
 
 
 def read_catalogue(path) -> list[CatalogueRecord]:
-    lines = (line.strip() for line in core.read_text(path).split("\n"))
-    return [CatalogueRecord.from_json_line(line) for line in lines if line]
+    """Every record of the catalogue file at ``path``, in file order."""
+    return list(_records_of(path))
 
 
 # ---------------------------------------------------------------------------
@@ -727,20 +731,18 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
 
 
 def verify_corpus(records) -> dict:
-    """Pass/fail matrix over all records; any failure lists offending codes."""
+    """Pass/fail matrix over ``records`` (any iterable, or a catalogue path read
+    a line at a time), keeping only the matrix and failures, which list codes."""
     if isinstance(records, (str, os.PathLike)):
-        records = read_catalogue(records)
+        records = _records_of(records)
     matrix = {name: {"pass": 0, "fail": 0, "skip": 0} for name in CHECKS}
     failures = []
-    for rec in records:
-        res = verify_record(rec)
-        for name, status in res.items():
-            if status == "pass":
-                matrix[name]["pass"] += 1
-            elif status == "skip":
-                matrix[name]["skip"] += 1
-            else:
-                matrix[name]["fail"] += 1
+    count = 0
+    for count, rec in enumerate(records, 1):
+        for name, status in verify_record(rec).items():
+            kind = status if status in ("pass", "skip") else "fail"
+            matrix[name][kind] += 1
+            if kind == "fail":
                 failures.append({"code": rec.code, "check": name, "reason": status})
-    return {"records": len(records), "checks": matrix, "failures": failures,
+    return {"records": count, "checks": matrix, "failures": failures,
             "ok": not failures}

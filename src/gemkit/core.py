@@ -852,18 +852,18 @@ def parse_gem(text: str) -> ColoredGraph:
         raise GemFormatError(str(exc)) from exc
 
 
-def read_text(path) -> str:
-    """The UTF-8 text of the file at ``path``; a file that cannot be read or
-    decoded is malformed input."""
+def read_lines(path):
+    """The lines of the UTF-8 file at ``path``, read one at a time; a file
+    that cannot be opened, read or decoded, at any line, is malformed input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise GemFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def load_gem(path) -> ColoredGraph:
-    return parse_gem(read_text(path))
+    return parse_gem("".join(read_lines(path)))
 
 
 def save_gem(g: ColoredGraph, path) -> None:

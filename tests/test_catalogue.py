@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,76 @@ def test_generate_deterministic_across_jobs(tmp_path):
     catalogue.generate_catalogue(out1, n_colors=4, max_order=6, jobs=1)
     catalogue.generate_catalogue(out2, n_colors=4, max_order=6, jobs=2)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_jobs_start_no_more_workers_than_pending_shards(tmp_path, monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        """Records its worker count and maps here: no process is started."""
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(catalogue, "ProcessPoolExecutor", InProcessPool)
+    one, many = tmp_path / "j1.jsonl", tmp_path / "j64.jsonl"
+    catalogue.generate_catalogue(one, 3, 4, jobs=1)
+    catalogue.generate_catalogue(many, 3, 4, jobs=64)  # 3 shards
+    assert asked == [3] and many.read_bytes() == one.read_bytes()
+    # a finished meta leaves no shard pending, and no pool is made
+    catalogue.generate_catalogue(many, 3, 4, jobs=64, resume_meta=str(many) + ".meta")
+    assert asked == [3] and many.read_bytes() == one.read_bytes()
+
+
+def test_shard_order_is_partition_order():
+    for p in range(2, 33, 2):
+        reps = catalogue.canonical_second_matchings(p)
+        assert list(reps) == sorted(reps)
+        pi0, shard = catalogue.standard_matching(p), catalogue._shard_of_partition(p)
+        assert [shard[catalogue._cycle_partition(pi0, rep)] for rep in reps] == \
+            list(range(len(reps)))
+
+
+def _earlier_records_alive(monkeypatch, name):
+    """Wrap ``catalogue.<name>``, which takes or returns one record; the
+    list it returns gains, at each call, how many records of earlier calls
+    are still alive."""
+    refs, alive = [], []
+    fn = getattr(catalogue, name)
+
+    def tracked(arg):
+        alive.append(sum(ref() is not None for ref in refs))
+        out = fn(arg)
+        refs.append(weakref.ref(out if isinstance(out, catalogue.CatalogueRecord) else arg))
+        return out
+
+    monkeypatch.setattr(catalogue, name, tracked)
+    return alive
+
+
+def test_generate_and_verify_hold_one_record_at_a_time(tmp_path, monkeypatch):
+    path = tmp_path / "cat.jsonl"
+    built = _earlier_records_alive(monkeypatch, "build_record")
+    catalogue.generate_catalogue(path, n_colors=3, max_order=6)
+    monkeypatch.undo()
+    checked = _earlier_records_alive(monkeypatch, "verify_record")
+    result = catalogue.verify_corpus(path)
+    assert result["ok"] and result["records"] == len(built) == len(checked) == 8
+    assert max(built) <= 2 and max(checked) <= 2
+
+
+def test_verify_corpus_takes_any_iterable_of_records():
+    recs = catalogue.enumerate_gems(3, 6)
+    assert catalogue.verify_corpus(rec for rec in recs) == catalogue.verify_corpus(recs)
+    assert catalogue.verify_corpus(iter(()))["records"] == 0
 
 
 def test_generate_resume_completes_partial_run(tmp_path):

@@ -188,6 +188,18 @@ def test_verify_malformed_catalogue_line_exits_2(capsys, tmp_path, line):
     assert json.loads(err)["error"]["type"] == "format-error"
 
 
+@pytest.mark.parametrize("tail", [b'{"order": 2}\n', b"\xff\n"],
+                         ids=["lacks-code", "not-utf8"])
+def test_verify_bad_line_after_a_good_one_exits_2(capsys, tmp_path, tail):
+    # lines are parsed as they are read: a bad later line still refuses the file
+    good = catalogue.build_record(core.canonical_code(fixtures.sigma(3)).hex())
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(good.to_json_line().encode() + b"\n" + tail)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "format-error"
+
+
 def test_verify_undecodable_code_is_a_check_failure(capsys, tmp_path):
     # width byte 0: reported by the decode-recode check, not a traceback
     path = tmp_path / "bad.jsonl"

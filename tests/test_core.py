@@ -328,6 +328,26 @@ def test_gem_file_io(tmp_path):
     assert core.load_gem(path) == fixtures.rp3()
 
 
+def test_read_lines_splits_as_the_whole_text_does(tmp_path):
+    # universal newlines, and only "\n" ends a line: not \x0c or \x85, as in
+    # str.splitlines
+    path = tmp_path / "mixed.txt"
+    path.write_bytes("a\r\nb\rc\n\n d\x0ce f\x85g\nlast".encode())
+    whole = path.read_text(encoding="utf-8")
+    lines = list(core.read_lines(path))
+    assert "".join(lines) == whole
+    assert [line.removesuffix("\n") for line in lines] == whole.split("\n")
+
+
+def test_read_lines_maps_a_decode_error_past_the_first_lines(tmp_path):
+    path = tmp_path / "late.txt"
+    path.write_bytes((b"x" * 99 + b"\n") * 1000 + b"\xff\n")
+    lines = core.read_lines(path)
+    assert next(lines) == "x" * 99 + "\n"  # read lazily: the bad byte lies 100 KB on
+    with pytest.raises(GemFormatError, match="cannot read"):
+        list(lines)
+
+
 # ---------------------------------------------------------------------------
 # Partition primitives
 # ---------------------------------------------------------------------------
