@@ -53,7 +53,9 @@ GENERATOR_VERSION = "gemkit-0.1.0"
 
 @core.memo
 def fpf_involutions(p: int) -> tuple[tuple[int, ...], ...]:
-    """All fixed-point-free involutions of 0..p-1, sorted."""
+    """All fixed-point-free involutions of 0..p-1, sorted: the recursion
+    pairs the least unpaired point with each partner in increasing order,
+    and that point's entry is the first in which two of its outputs differ."""
     def rec(rem):
         if not rem:
             yield ()
@@ -70,7 +72,7 @@ def fpf_involutions(p: int) -> tuple[tuple[int, ...], ...]:
         for a, b in pairs:
             m[a], m[b] = b, a
         out.append(tuple(m))
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def standard_matching(p: int) -> tuple[int, ...]:
@@ -497,19 +499,6 @@ def enumerate_gems(n_colors: int, max_order: int, filters=()) -> list[CatalogueR
     return [build_record(c) for c in sorted(codes)]
 
 
-def _write_atomic(path: Path, chunks) -> None:
-    """Write the strings ``chunks`` to ``path`` through a temp file beside
-    it, so a kill or a failure at any instant leaves the old file or the new."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
                        jobs: int = 1, resume_meta=None) -> dict:
     """Write a JSONL catalogue plus a .meta checkpoint file.
@@ -563,7 +552,7 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
     shards = meta["shards"]
 
     def write_meta():
-        _write_atomic(meta_path, [json.dumps(meta, indent=1, sort_keys=True)])
+        core.write_lines(meta_path, [json.dumps(meta, indent=1, sort_keys=True)])
 
     names = {key: f"{key[0]}:{key[1]}" for key in shard_keys(max_order)}
     pending = [key for key, name in names.items() if not isinstance(shards.get(name), list)]
@@ -572,7 +561,7 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
         write_meta()
 
     codes = sorted(set().union(*(shards[name] for name in names.values())))
-    _write_atomic(path, (build_record(c).to_json_line() + "\n" for c in codes))
+    core.write_lines(path, (build_record(c).to_json_line() + "\n" for c in codes))
     meta["completed"] = datetime.now(timezone.utc).isoformat()
     meta["records"] = len(codes)
     write_meta()

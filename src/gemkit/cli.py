@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 analysis refused (hypotheses not certified),
-2 malformed input or structural error, 3 internal-consistency error (an
-identity that must hold failed) or any other exception - always a bug.
+2 malformed input, a file or report that cannot be read or written, or a
+structural error, 3 internal-consistency error (an identity that must
+hold failed) or any other exception - always a bug.
 Diagnostics go to stderr as JSON; reports go to stdout, human-readable by
 default or as JSON with --json.  No environment variables are consulted.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalogue, classification, core, genus, handles, invariants, recognition
@@ -239,7 +241,14 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - any other failure is a bug, reported as such
         _diag("unexpected-error", f"{type(exc).__name__}: {exc}")
         return 3
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit: send that nowhere
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        _diag("format-error", f"cannot write the report: {exc}")
+        return 2
     return 0
 
 

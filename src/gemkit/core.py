@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 from .errors import GemFormatError, StructuralError
 
@@ -866,6 +868,24 @@ def load_gem(path) -> ColoredGraph:
     return parse_gem("".join(read_lines(path)))
 
 
+def write_lines(path, chunks) -> None:
+    """Write the strings ``chunks`` to ``path`` through a temp file beside
+    it, so a kill or a failure at any instant leaves the old file or the
+    new.  A file that cannot be written is refused like one that cannot be
+    read, after the temp file is removed."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise GemFormatError(f"cannot write {path}: {exc}") from exc
+
+
 def save_gem(g: ColoredGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_gem(g))
+    write_lines(path, [format_gem(g)])

@@ -6,7 +6,8 @@ class GemkitError(Exception):
 
 
 class GemFormatError(GemkitError):
-    """Malformed `.gem` input or undecodable canonical code (CLI exit 2)."""
+    """Malformed input or undecodable canonical code, or a file that
+    cannot be read or written (CLI exit 2)."""
 
 
 class StructuralError(GemkitError):

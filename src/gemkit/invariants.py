@@ -45,85 +45,47 @@ SINGULAR = "singular-manifold"
 # ---------------------------------------------------------------------------
 
 def smith_normal_form(rows: list[list[int]]) -> tuple[int, ...]:
-    """Positive invariant factors d1 | d2 | ... of an integer matrix.
-
-    Plain elimination with smallest-pivot selection; exact integers
-    throughout, no modular shortcuts.  The number of factors is the rank;
-    trailing zero diagonal entries are not reported.
+    """Positive invariant factors d1 | d2 | ... of an integer matrix, as
+    many as its rank.  One least-pivot loop over exact integers: a pass
+    takes a least nonzero entry p, a unit when there is one, and clears its
+    column with row operations, then its row with column operations (which
+    change only that row once the column is clear).  A remainder is smaller
+    than p and becomes the next pivot.  If there is none but p does not
+    divide some entry, that entry's row is first added to p's row, which
+    leaves one.  Otherwise p is the next factor; its row and column go.
     """
     a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
     factors = []
-    s = 0
-    while True:
-        # locate the smallest nonzero entry of the remaining block
-        pivot = None
-        best = None
-        for i in range(s, m):
-            row = a[i]
-            for j in range(s, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        a[s], a[i] = a[i], a[s]
-        for row in a:
-            row[s], row[j] = row[j], row[s]
-        while True:
-            # clear column s, then row s; repeat while remainders pop up
-            redo = False
-            for i in range(s + 1, m):
-                if a[i][s]:
-                    q = a[i][s] // a[s][s]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[s])]
-                    if a[i][s]:
-                        a[s], a[i] = a[i], a[s]
-                        redo = True
-            if redo:
-                continue
-            for j in range(s + 1, n):
-                if a[s][j]:
-                    q = a[s][j] // a[s][s]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[s]
-                    if a[s][j]:
-                        for row in a:
-                            row[s], row[j] = row[j], row[s]
-                        redo = True
-            if not redo:
-                break
-        # force divisibility into the rest of the block
-        d = abs(a[s][s])
-        fixed = True
-        for i in range(s + 1, m):
-            if any(v % d for v in a[i][s + 1:]):
-                a[s] = [x + y for x, y in zip(a[s], a[i])]
-                fixed = False
-                break
-        if not fixed:
+    while a := [r for r in a if any(r)]:
+        least = 0
+        for r in a:
+            v = min(map(abs, filter(None, r)))
+            if not least or v < least:
+                least, prow = v, r
+                if v == 1:
+                    break
+        j = [abs(x) for x in prow].index(least)
+        p = prow[j]
+        for r in a:
+            if r[j] and r is not prow:
+                q = r[j] // p
+                r[:] = [x - q * y for x, y in zip(r, prow)]
+        if any(r[j] for r in a if r is not prow):
             continue
-        factors.append(d)
-        s += 1
-        if s == m or s == n:
-            break
+        if not any(x % p for x in prow):
+            bad = next((r for r in a if least > 1 and any(x % p for x in r)), None)
+            if bad is None:
+                factors.append(least)
+                a = [r[:j] + r[j + 1:] for r in a if r is not prow]
+                continue
+            prow[:] = [x + y for x, y in zip(prow, bad)]
+        prow[:] = [x if k == j else x % p for k, x in enumerate(prow)]
     return tuple(factors)
 
 
 def _abelian_invariants(gens: int, rows) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion factors) of the abelian group on ``gens``
     generators with relation rows ``rows``."""
-    if not rows or gens == 0:
-        return gens, ()
     factors = smith_normal_form(rows)
     return gens - len(factors), tuple(d for d in factors if d > 1)
 
@@ -352,21 +314,17 @@ def tietze_trivializes(pres: Presentation) -> bool:
         repl = inv_rest if sign > 0 else rest
         repl_inv = rest if sign > 0 else inv_rest
 
-        new_relators = []
-        for word in relators:
-            out: list[int] = []
-            for t in word:
-                if abs(t) == x:
-                    out.extend(repl if t > 0 else repl_inv)
-                else:
-                    out.append(t)
-            out = _free_cyclic_reduce(out)
-            if len(out) > TIETZE_MAX_WORD_LENGTH:
+        for k, word in enumerate(relators):
+            if x in word or -x in word:
+                out: list[int] = []
+                for t in word:
+                    if abs(t) == x:
+                        out.extend(repl if t > 0 else repl_inv)
+                    else:
+                        out.append(t)
+                relators[k] = word = _free_cyclic_reduce(out)
+            if len(word) > TIETZE_MAX_WORD_LENGTH:
                 return False
-            new_relators.append(out)
-        # drop generator x, renumber the rest down
-        relators = [[t - (1 if t > x else 0) if t > 0 else t + (1 if -t > x else 0)
-                     for t in word] for word in new_relators]
         gens -= 1
         moves += 1
         if moves > TIETZE_MAX_MOVES:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -120,6 +121,18 @@ def test_shard_order_is_partition_order():
         pi0, shard = catalogue.standard_matching(p), catalogue._shard_of_partition(p)
         assert [shard[catalogue._cycle_partition(pi0, rep)] for rep in reps] == \
             list(range(len(reps)))
+
+
+def test_fpf_involutions_come_sorted():
+    # the recursion's own order, with no sort after it
+    for p in range(0, 13, 2):
+        invs = catalogue.fpf_involutions(p)
+        assert list(invs) == sorted(invs)
+        assert len(invs) == len(set(invs)) == math.prod(range(1, p, 2))
+        if p <= 8:
+            brute = [m for m in itertools.permutations(range(p))
+                     if all(m[v] != v and m[m[v]] == v for v in range(p))]
+            assert list(invs) == brute
 
 
 def _earlier_records_alive(monkeypatch, name):

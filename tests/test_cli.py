@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +264,58 @@ def test_unreadable_input_exits_2(capsys, tmp_path, argv, content):
     # refused before any shard ran: a resumed meta is left as it was
     input_path = tmp_path / "input"
     assert (input_path.read_bytes() if input_path.exists() else None) == content
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "{gem}", "{dir}/missing/out.gem"),
+    ("sum", "{gem}", "{gem}", "{dir}/taken"),
+    ("generate", "--colors", "4", "--max-order", "2", "--out", "{dir}/missing/c.jsonl"),
+    # the checkpoint cannot be written, so the old catalogue stays
+    ("generate", "--colors", "4", "--max-order", "2", "--out", "{dir}/cat.jsonl"),
+], ids=["reduce-into-missing-dir", "sum-onto-a-directory", "generate-into-missing-dir",
+        "generate-meta-onto-a-directory"])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    gem = tmp_path / "cp2.gem"
+    core.save_gem(fixtures.cp2(), gem)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "cat.jsonl").write_text("an older catalogue\n")
+    (tmp_path / "cat.jsonl.meta").mkdir()
+    before = _tree(tmp_path)
+    code, out, err = run(capsys, *(a.format(dir=tmp_path, gem=gem) for a in argv))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "format-error" and error["message"].startswith("cannot write")
+    # no temp file is left, and every existing file keeps its bytes
+    assert _tree(tmp_path) == before
+
+
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    gem = tmp_path / "cp2.gem"
+    core.save_gem(fixtures.cp2(), gem)
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "gemkit.cli", "--json", "genus", str(gem)],
+                             stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                             timeout=60)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "format-error"
+    assert error["message"].startswith("cannot write the report")
 
 
 @pytest.mark.parametrize("name, refused, accepted", [

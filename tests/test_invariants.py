@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import itertools
 import random
+import signal
 from types import MappingProxyType
 
 import pytest
@@ -22,6 +24,9 @@ def test_snf_known_cases():
     assert invariants.smith_normal_form([[0, 0], [0, 0]]) == ()
     assert invariants.smith_normal_form([[2]]) == (2,)
     assert invariants.smith_normal_form([[6, 4]]) == (2,)
+    assert invariants.smith_normal_form([]) == ()
+    assert invariants.smith_normal_form([[]]) == ()
+    assert invariants.smith_normal_form([[0, 0]]) == ()
 
 
 def test_snf_against_sympy_on_random_matrices():
@@ -37,6 +42,43 @@ def test_snf_against_sympy_on_random_matrices():
         ref = sympy_snf(sympy.Matrix(m))
         diag = [abs(ref[i, i]) for i in range(min(rows, cols))]
         assert list(ours) == [d for d in diag if d != 0]
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_snf_against_sympy_on_larger_matrices():
+    # sizes and entries at which elimination that lets coefficients grow
+    # takes seconds or more on one matrix
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(22)
+    cases = []
+    for _ in range(50):
+        rows, cols = rng.randint(10, 18), rng.randint(10, 18)
+        bound = rng.choice((1, 3, 50, 1000))
+        density = rng.choice((0.2, 0.5, 1.0))
+        m = [[rng.randint(-bound, bound) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        ref = sympy_snf(sympy.Matrix(m))
+        diag = [abs(ref[i, i]) for i in range(min(rows, cols))]
+        cases.append((m, tuple(d for d in diag if d != 0)))
+    with time_limit(10):
+        for m, expected in cases:
+            assert invariants.smith_normal_form(m) == expected, m
 
 
 def test_snf_divisibility_chain():
@@ -106,6 +148,82 @@ def test_rp3_abelianization_is_z2():
     pres = invariants.presentation_raw(fixtures.rp3(), 0, 1)
     assert invariants.h1_from_presentation(pres) == (0, (2,))
     assert not invariants.tietze_trivializes(pres)
+
+
+def tietze_trivializes_oracle(pres):
+    """The Tietze loop as it was before it stopped renumbering: after each
+    elimination every word is rewritten and the generators above the
+    eliminated one are numbered down."""
+    def reduce(word):
+        stack = []
+        for x in word:
+            if stack and stack[-1] == -x:
+                stack.pop()
+            else:
+                stack.append(x)
+        while len(stack) >= 2 and stack[0] == -stack[-1]:
+            stack = stack[1:-1]
+        return stack
+
+    gens = pres.generator_count
+    relators = [reduce(list(w)) for w in pres.all_relators()]
+    moves = 0
+    while True:
+        relators = [w for w in relators if w]
+        if gens == 0:
+            return True
+        target = None
+        for ridx, w in enumerate(relators):
+            counts = {}
+            for x in w:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            once = [x for x, n in counts.items() if n == 1]
+            if once:
+                x = min(once)
+                if target is None or len(w) < len(relators[target[0]]):
+                    target = (ridx, x)
+        if target is None:
+            return gens == 0
+        ridx, x = target
+        w = relators.pop(ridx)
+        pos = next(idx for idx, t in enumerate(w) if abs(t) == x)
+        sign = 1 if w[pos] > 0 else -1
+        rest = w[pos + 1:] + w[:pos]
+        inv_rest = [-t for t in reversed(rest)]
+        repl = inv_rest if sign > 0 else rest
+        repl_inv = rest if sign > 0 else inv_rest
+        new_relators = []
+        for word in relators:
+            out = []
+            for t in word:
+                if abs(t) == x:
+                    out.extend(repl if t > 0 else repl_inv)
+                else:
+                    out.append(t)
+            out = reduce(out)
+            if len(out) > invariants.TIETZE_MAX_WORD_LENGTH:
+                return False
+            new_relators.append(out)
+        relators = [[t - (1 if t > x else 0) if t > 0 else t + (1 if -t > x else 0)
+                     for t in word] for word in new_relators]
+        gens -= 1
+        moves += 1
+        if moves > invariants.TIETZE_MAX_MOVES:
+            return False
+
+
+def test_tietze_matches_the_renumbering_oracle(crystallization_corpus_order8,
+                                               small_manifold_corpus):
+    buried = [random_augment(fixtures.cp2(), random.Random(seed), 5 + seed)
+              for seed in range(40)]
+    answers = []
+    for g in crystallization_corpus_order8 + small_manifold_corpus + buried:
+        for i, j in itertools.permutations(range(g.n_colors), 2):
+            pres = invariants.presentation_raw(g, i, j)
+            answer = invariants.tietze_trivializes(pres)
+            assert answer == tietze_trivializes_oracle(pres), (core.canonical_code(g).hex(), i, j)
+            answers.append(answer)
+    assert True in answers and False in answers
 
 
 def test_default_singular_pair_holds_both_singular_colors():
