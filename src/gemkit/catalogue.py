@@ -16,14 +16,17 @@ each color already chosen.
 
 Orbit minimum: H, the vertex permutations fixing colors 0 and 1, maps
 those matchings onto themselves and preserves every rank.  Its orbits are
-found once per shard by union-find over generators (rotation and
-reflection of each bicolored cycle, swaps of equal cycles); color 2 must be
-the least of its orbit, and no later color's orbit may reach below color 2.
-The least H-image of a labeling passes both tests, so each isomorphism
-class lies in exactly one shard.  Shards share nothing: workers run in
-parallel, and a single merger takes their union, sorts and writes.
-Labellings of one class still meet within a shard, so duplicates there are
-removed by canonical code.
+found by union-find over generators (rotation and reflection of each
+bicolored cycle, swaps of equal cycles); no color's H-orbit may reach
+below color 2, and each color must be the least of its orbit under the
+generators that fix every color chosen before it past colors 0 and 1 (at
+color 2, all of them).  The least H-image of a labeling passes every test,
+so each isomorphism class lies in exactly one shard, and labellings that
+differ by a symmetry of colors 0 and 1 meet at most once.  Shards share
+nothing: workers run in parallel, and a single merger takes their union,
+sorts and writes.  Labellings of one class whose least-rank color pairs
+differ still meet within a shard, so duplicates there are removed by
+canonical code.
 
 Filters are isomorphism-invariant, so they commute with deduplication; the
 cheap ones run on raw matchings before any code is computed.
@@ -121,8 +124,19 @@ def _alternating_cycles(a: tuple[int, ...], b: tuple[int, ...]) -> list[list[int
 
 
 def _cycle_partition(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The number of ``a``-pairs on each bicolored cycle, ascending."""
-    return tuple(sorted(len(cycle) // 2 for cycle in _alternating_cycles(a, b)))
+    """The number of ``a``-pairs on each bicolored cycle, ascending, counted
+    along each cycle without listing it."""
+    seen = bytearray(len(a))
+    lengths = []
+    for start in range(len(a)):
+        v, n = start, 0
+        while not seen[v]:
+            seen[v] = seen[a[v]] = 1
+            n += 1
+            v = b[a[v]]
+        if n:
+            lengths.append(n)
+    return tuple(sorted(lengths))
 
 
 @core.memo
@@ -289,6 +303,18 @@ def shard_keys(max_order: int) -> list[tuple[int, int]]:
     return keys
 
 
+def _triple_clean(p: int, g_ab: int, g_ac: int, g_bc: int, pairs) -> bool:
+    """Whether the residue of three matchings of 0..p-1 is a union of
+    spheres, given their pair cycle counts and the iterable of all their
+    ``pairs``: whether chi = g_ab + g_ac + g_bc - p/2 equals 2 * g_abc.  As
+    1 <= g_abc <= each pair count, an odd chi, or one below 2 or above twice
+    the least pair count, fails without joining the matchings."""
+    chi = g_ab + g_ac + g_bc - p // 2
+    if chi % 2 or not 2 <= chi <= 2 * min(g_ab, g_ac, g_bc):
+        return False
+    return chi == 2 * core.join_classes(range(p), pairs)[1]
+
+
 def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...]) -> list[str]:
     """Canonical codes of the filtered gems of one shard.
 
@@ -297,11 +323,14 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     colors 0 and 1 are the standard matching and the shard's second
     matching, and every pair of its colors ranks at least the shard.  Of
     the labelings left, only those least in their orbit under H, the
-    vertex permutations fixing both first matchings, are walked: color 2
-    is the least of its H-orbit and no later color's orbit reaches below
-    color 2.  H preserves every pair's rank, so the lexicographically least
-    H-image of any such labeling passes both tests: each isomorphism class
-    lies in exactly one shard, and shards need no merging beyond a union.
+    vertex permutations fixing both first matchings, are walked: no
+    color's H-orbit reaches below color 2, and each color is the least of
+    its orbit under the generators of H that fix every color chosen before
+    it past colors 0 and 1 (under all of H for color 2).  H preserves every
+    pair's rank, so the lexicographically least H-image of any such
+    labeling passes every test: each isomorphism class lies in exactly one
+    shard, and shards need no merging beyond a union.  The orbit minima
+    are computed once per set of generators met, on first use.
 
     The nondecreasing matching tuples are walked as a tree carrying, per
     potential deleted color, the vertex partition of the matchings chosen
@@ -317,8 +346,6 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     walked and each triple tested once per shard, and each distinct code
     decoded and filtered once.
     """
-    if n_colors < 3:
-        raise StructuralError("enumeration needs at least 3 colors")
     k = n_colors
     pi0 = standard_matching(p)
     pi1 = canonical_second_matchings(p)[shard_index]
@@ -327,7 +354,6 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     # every matching of rank >= shard_index with pi0 is >= pi1, its orbit minimum
     with_pi0 = {m: rank[_cycle_partition(pi0, m)] for m in fpf_involutions(p)}
     pool = [m for m, r in with_pi0.items() if r >= shard_index]
-    least = _orbit_minima(pool, _stabilizer_generators(pi0, pi1))
     crys = any(FILTERS[f].crystallization for f in filters)
     want_bipartite = "bipartite" in filters
 
@@ -368,7 +394,8 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     # Sphere prune mirroring the dimension-specific manifold demands: a
     # 3-colored residue is a union of spheres iff its cycle counts satisfy
     # g_ab + g_bc + g_ca - p/2 == 2 * g_abc, the pair counts read off
-    # ranked.  For k >= 5 every triple must be clean (exactly the
+    # ranked (``_triple_clean`` joins the matchings only when those allow
+    # it).  For k >= 5 every triple must be clean (exactly the
     # manifold-complex condition); for k == 4 crystallizations at most one
     # color may own non-sphere residues (one singular color); other
     # 4-colored runs and surfaces have no condition.
@@ -382,11 +409,11 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     else:
         allowance = None
 
-    def _triple_clean(a: int, b: int, c: int) -> bool:
+    def triple_clean(a: int, b: int, c: int) -> bool:
         """The sphere test of colors a, b, c, chosen in that order."""
-        g_abc = core.join_classes(ident, itertools.chain(pairs_of[a], pairs_of[b], pairs_of[c]))[1]
-        return (cycles[ranked[a][b] - 1] + cycles[ranked[a][c] - 1] + cycles[ranked[b][c] - 1]
-                - p // 2 == 2 * g_abc)
+        return _triple_clean(p, cycles[ranked[a][b] - 1], cycles[ranked[a][c] - 1],
+                             cycles[ranked[b][c] - 1],
+                             itertools.chain(pairs_of[a], pairs_of[b], pairs_of[c]))
 
     # per (earlier mid, mid) of a triple, one byte per third mid: 0 not yet
     # tested, 1 clean, 2 unclean
@@ -401,7 +428,7 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
             if row is None:
                 row = clean[(a, b)] = bytearray(len(all_matchings))
             if not row[mc]:
-                row[mc] = 1 if _triple_clean(a, b, mc) else 2
+                row[mc] = 1 if triple_clean(a, b, mc) else 2
             if row[mc] == 2:
                 unclean += 1
                 if unclean > allowance:
@@ -423,15 +450,49 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
             if _passes_expensive(core.decode_code(code), filters):
                 codes.add(code)
 
-    def dfs(depth: int, states: tuple, start: int, unclean: int):
+    # Stabilizer prune: a mask of H's generators rides down the tree,
+    # ``fixmask``, those fixing every color chosen so far past colors 0 and
+    # 1 (all of them at depth 2), and the color chosen at each depth is the
+    # least of its orbit under those.  Exact: let t be the least H-image of
+    # a leaf's sorted colors m2 <= ... <= m_{k-1}; t passes the tests on
+    # color 2.  If some h fixing m2, ..., m_{d-1} had h(m_d) < m_d, the
+    # sorted h(t) would be below t, which is impossible; so t passes the
+    # test at every depth, and each H-class keeps a leaf.  H preserves
+    # ranks and connectivity, so nothing else changes.
+    gens = _stabilizer_generators(pi0, pi1)
+    full = (1 << len(gens)) - 1
+    minima = {full: _orbit_minima(pool, gens)}  # the pool's orbit minima, by mask
+    least_in_h = minima[full]
+    fixers: list[int | None] = [None] * len(pool)  # per matching, the mask fixing it
+
+    def fixed_by(idx: int) -> int:
+        """The mask of the generators that map ``pool[idx]`` onto itself."""
+        mask = fixers[idx]
+        if mask is None:
+            m = pool[idx]
+            mask = fixers[idx] = sum(1 << j for j, h in enumerate(gens) if _conjugate(m, h) == m)
+        return mask
+
+    def least_under(mask: int) -> list[int]:
+        """The pool's orbit minima under the generators in ``mask``."""
+        least = minima.get(mask)
+        if least is None:
+            least = minima[mask] = _orbit_minima(pool, [h for j, h in enumerate(gens)
+                                                         if mask >> j & 1])
+        return least
+
+    def dfs(depth: int, states: tuple, start: int, unclean: int, fixmask: int):
         last = depth == k - 1
         # states[k-1] is final here: labels are dense, so max+1 is its count
         if last and crys and max(states[k - 1]) != 0:
             return
+        least = least_under(fixmask)
         for idx in range(start, len(pool)):
             mid = idx + 2
-            # color 2 is least in its H-orbit; no later color's orbit reaches below it
-            if least[idx] < (idx if depth == 2 else mids[2] - 2) or not ranks_in_shard(mid):
+            # least under the stabilizer of the chosen colors, and no color's
+            # H-orbit reaches below color 2
+            if (least[idx] < idx or (depth > 2 and least_in_h[idx] < mids[2] - 2)
+                    or not ranks_in_shard(mid)):
                 continue
             # a leaf is connected (states[k-1] holds every color chosen), and
             # in crystallization runs so is each of its hat-residues
@@ -446,16 +507,19 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
                 else:
                     new_states = tuple(states[h] if h == depth else merge(states[h], mid)[0]
                                        for h in range(k))
-                    dfs(depth + 1, new_states, idx, now)
+                    dfs(depth + 1, new_states, idx, now, fixmask & fixed_by(idx))
             mids.pop()
 
-    dfs(2, init_states, 0, 0)
+    dfs(2, init_states, 0, 0, full)
     return sorted(codes)
 
 
 def _check_run(n_colors: int, max_order: int, filters) -> tuple[str, ...]:
-    """Refuse an odd or too small ``max_order``, unknown filters and filters
+    """Refuse ``n_colors`` outside 3..255 (a canonical code's color field is
+    one byte), an odd or too small ``max_order``, unknown filters and filters
     not defined for ``n_colors`` colors; returns the filters as a tuple."""
+    if not 3 <= n_colors <= 255:
+        raise StructuralError(f"enumeration needs 3 to 255 colors, not {n_colors}")
     if max_order < 2 or max_order % 2:
         raise StructuralError("max_order must be even and >= 2")
     filters = tuple(filters)

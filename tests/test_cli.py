@@ -123,6 +123,18 @@ def test_canon_of_many_colors(capsys, gem_file):
     assert error["type"] == "structural-error" and "255 colors" in error["message"]
 
 
+@pytest.mark.parametrize("colors", ["2", "300", "1200", "1000000"])
+def test_generate_refuses_color_counts_no_code_holds(capsys, tmp_path, colors):
+    # a code's color field is one byte: refused before any shard runs
+    out = tmp_path / "cat.jsonl"
+    code, stdout, err = run(capsys, "generate", "--colors", colors, "--max-order", "2",
+                            "--out", str(out))
+    assert code == 2 and stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "structural-error"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_1_analysis_refused(capsys, gem_file):
     path = gem_file(fixtures.nonsimply_connected(), "n.gem")
     code, out, err = run(capsys, "classify", path)

@@ -3,14 +3,20 @@
 `run_shard_oracle` walks every nondecreasing labeling of a shard, with
 color 2 anywhere in the pool, and tests every color triple's sphere
 condition only at the leaf.  The library cuts each branch as soon as a
-triple is unclean, a color pair ranks below the shard, or a labeling is
-not least in its orbit under the stabilizer of the first two matchings.
+triple is unclean, a color pair ranks below the shard, or the color just
+chosen is not least in its orbit under the stabilizer of the colors chosen
+before it (at color 2, H: the stabilizer of the first two matchings).
 So each library shard finds a subset of its oracle shard's codes through
 a subsequence of its leaves, the library shards are pairwise disjoint,
 and together they find every code the oracle finds.
 
+`run_shard_parent` (tests/shard_parent.py) is the walk without the prune
+on the chosen colors: each of its shards finds the same codes as the
+library's, and its leaves fall into the same H-classes.
+
 The brute-force stabilizer of the standard matching is the oracle for the
-closed-form shard keys and for the generated stabilizer orbits.
+closed-form shard keys, for the generated stabilizer orbits and for the
+H-classes of leaves.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from functools import lru_cache
 import pytest
 
 from gemkit import catalogue, core
+
+from shard_parent import cycle_partition_by_lists, run_shard_parent
 
 
 def run_shard_oracle(k: int, p: int, shard_index: int, filters: tuple[str, ...]) -> list[str]:
@@ -236,5 +244,113 @@ def test_pi1_filters_walk_only_crystallization_leaves(monkeypatch, filters):
         return calls[:], codes
 
     leaves, codes = walk(("crystallization", "simply-connected"))
-    assert len(leaves) == 25
+    assert len(leaves) == 11  # 25 without the prune on the chosen colors
     assert walk(filters) == (leaves, codes)
+
+
+def _codes_and_leaves(run, k: int, p: int, index: int, filters) -> tuple[list[str], list]:
+    """The codes of one shard by ``run`` and, in order, the colors past 0
+    and 1 of each leaf that reached ``canonical_code``."""
+    leaves = []
+    code = core.canonical_code
+
+    def capture(g, *args):
+        leaves.append(g.matchings[2:])
+        return code(g, *args)
+
+    core.canonical_code = capture
+    try:
+        codes = run(k, p, index, filters)
+    finally:
+        core.canonical_code = code
+    return codes, leaves
+
+
+@lru_cache(maxsize=None)
+def _both_walks(k: int, p: int, index: int, filters: tuple[str, ...]):
+    """``_codes_and_leaves`` of the library and of the parent walk."""
+    return (_codes_and_leaves(catalogue.run_shard, k, p, index, filters),
+            _codes_and_leaves(run_shard_parent, k, p, index, filters))
+
+
+CRYS = ("crystallization",)
+# the unfiltered 5-colored walks through order 8 take half a minute, so the
+# tier-1 suite stops them at order 6 (CI's order-10 job runs order 8)
+PARENT_RUNS = [(k, 6 if (k, filters) == (5, ()) else 8, filters)
+               for k in (3, 4, 5) for filters in ((), CRYS, ("manifold",), ("bipartite",))]
+
+
+@pytest.mark.parametrize("k, max_order, filters", PARENT_RUNS)
+def test_run_shard_matches_parent_walk_shard_by_shard(k, max_order, filters):
+    for p, index in catalogue.shard_keys(max_order):
+        (codes, leaves), (parent_codes, parent_leaves) = _both_walks(k, p, index, filters)
+        assert codes == parent_codes, (p, index)
+        assert _is_subsequence(leaves, parent_leaves), (p, index)
+
+
+def test_run_shard_matches_parent_walk_on_shard_10_2():
+    (codes, leaves), (parent_codes, parent_leaves) = _both_walks(5, 10, 2, CRYS)
+    assert codes == parent_codes and len(codes) == 107
+    assert _is_subsequence(leaves, parent_leaves)
+    assert len(leaves) < len(parent_leaves)
+
+
+def test_prune_on_chosen_colors_cuts_the_order8_leaves():
+    # the 5-colored crystallization shards through order 8 meet 40 codes;
+    # the leaves left over come from other least-rank color pairs, not from H
+    def count(walk):
+        return sum(len(_both_walks(5, p, index, CRYS)[walk][1])
+                   for p, index in catalogue.shard_keys(8))
+    assert (count(0), count(1)) == (217, 538)
+
+
+@pytest.mark.parametrize("k, shards, filters", [
+    (5, catalogue.shard_keys(8), CRYS),
+    (4, catalogue.shard_keys(8), ()),
+    (5, [(10, 2)], CRYS),
+])
+def test_prune_keeps_every_h_class_of_leaves(k, shards, filters):
+    # H by brute force, on the shards where it has at most 48 elements: the
+    # least H-image of each sorted leaf names its class
+    checked = 0
+    for p, index in shards:
+        pi1 = catalogue.canonical_second_matchings(p)[index]
+        group = [h for h in _stabilizer(p) if _image(pi1, h) == pi1]
+        if len(group) > 48:
+            continue
+
+        def h_class(leaf):
+            return min(tuple(sorted(_image(m, h) for m in leaf)) for h in group)
+
+        (_, leaves), (_, parent_leaves) = _both_walks(k, p, index, filters)
+        assert {h_class(leaf) for leaf in leaves} == {h_class(leaf) for leaf in parent_leaves}, \
+            (p, index)
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_triple_test_gives_the_join_only_answer(monkeypatch, k):
+    answers = collections.Counter()
+    triple_clean = catalogue._triple_clean
+
+    def check(p, g_ab, g_ac, g_bc, pairs):
+        pairs = tuple(pairs)
+        g_abc = core.join_classes(tuple(range(p)), pairs)[1]
+        joined = g_ab + g_ac + g_bc - p // 2 == 2 * g_abc
+        assert triple_clean(p, g_ab, g_ac, g_bc, pairs) == joined, (p, g_ab, g_ac, g_bc, pairs)
+        answers[joined] += 1
+        return joined
+
+    monkeypatch.setattr(catalogue, "_triple_clean", check)
+    for p, index in catalogue.shard_keys(8):
+        catalogue.run_shard(k, p, index, CRYS)
+    assert answers[True] and answers[False]
+
+
+def test_cycle_partition_counts_the_cycle_lists():
+    pool = catalogue.fpf_involutions(10)
+    assert len(pool) == 945
+    for key in catalogue.canonical_second_matchings(10):
+        for m in pool:
+            assert catalogue._cycle_partition(key, m) == cycle_partition_by_lists(key, m), (key, m)
