@@ -38,7 +38,6 @@ import itertools
 import json
 import os
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -514,14 +513,17 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     return sorted(codes)
 
 
-def _check_run(n_colors: int, max_order: int, filters) -> tuple[str, ...]:
+def _check_run(n_colors: int, max_order: int, filters, jobs: int = 1) -> tuple[str, ...]:
     """Refuse ``n_colors`` outside 3..255 (a canonical code's color field is
-    one byte), an odd or too small ``max_order``, unknown filters and filters
-    not defined for ``n_colors`` colors; returns the filters as a tuple."""
+    one byte), an odd or too small ``max_order``, ``jobs`` below 1, unknown
+    filters and filters not defined for ``n_colors`` colors; returns the
+    filters as a tuple."""
     if not 3 <= n_colors <= 255:
         raise StructuralError(f"enumeration needs 3 to 255 colors, not {n_colors}")
     if max_order < 2 or max_order % 2:
         raise StructuralError("max_order must be even and >= 2")
+    if jobs < 1:
+        raise StructuralError(f"jobs must be at least 1, not {jobs}")
     filters = tuple(filters)
     for f in filters:
         if f not in FILTERS:
@@ -531,6 +533,14 @@ def _check_run(n_colors: int, max_order: int, filters) -> tuple[str, ...]:
             need = least if least == most else f"at least {least}"
             raise StructuralError(f"filter {f!r} needs {need} colors, not {n_colors}")
     return filters
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The standard library's process pool, imported on the first call:
+    only ``jobs`` > 1 uses it, and importing it at ``import gemkit`` would
+    load ``multiprocessing`` into every process."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _run_shards(n_colors: int, keys, filters: tuple[str, ...], jobs: int = 1):
@@ -576,7 +586,7 @@ def generate_catalogue(path, n_colors: int, max_order: int, filters=(),
     in code order as they are built, one at a time, and carry no timestamps:
     two runs with different job counts produce byte-identical catalogues.
     """
-    filters = _check_run(n_colors, max_order, filters)
+    filters = _check_run(n_colors, max_order, filters, jobs)
     path = Path(path)
     meta_path = Path(resume_meta) if resume_meta else Path(str(path) + ".meta")
 

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 analysis refused (hypotheses not certified),
-2 malformed input, a file or report that cannot be read or written, or a
-structural error, 3 internal-consistency error (an identity that must
-hold failed) or any other exception - always a bug.
-Diagnostics go to stderr as JSON; reports go to stdout, human-readable by
-default or as JSON with --json.  No environment variables are consulted.
+2 a usage error, malformed input, a file or report that cannot be read or
+written, or a structural error, 3 internal-consistency error (an identity
+that must hold failed) or any other exception - always a bug.
+Diagnostics go to stderr as one JSON line; reports go to stdout,
+human-readable by default or as JSON with --json.  No environment
+variables are consulted.
 """
 
 from __future__ import annotations
@@ -173,56 +174,72 @@ def _parse_permutation(text: str, k: int):
     return genus.CyclicPermutation.canonical(seq)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one JSON diagnostic line and exit 2;
+    its subparsers are of the same class (``add_subparsers`` passes its
+    own class on as ``parser_class``)."""
+
+    def error(self, message):
+        _diag("usage-error", f"{self.prog}: {message}")
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """A new parser of the command line: ``main`` builds its own once."""
+    parser = _Parser(
         prog="gemkit",
         description="Analyze edge-colored graphs encoding compact PL manifolds.")
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, config):
-        p = sub.add_parser(name, help=help_)
-        config(p)
-        p.set_defaults(fn=fn)
+    def add(name, help_, config):
+        config(sub.add_parser(name, help=help_))
 
-    add("info", cmd_info, "basic counts and the manifold verdict",
+    add("info", "basic counts and the manifold verdict",
         lambda p: p.add_argument("path"))
-    add("genus", cmd_genus, "regular genus report",
+    add("genus", "regular genus report",
         lambda p: (p.add_argument("path"),
                    p.add_argument("--permutation", help="cyclic order, e.g. (0,1,2,3,4)")))
-    add("classify", cmd_classify, "t-values, weak-simple/simple, genus bounds",
+    add("classify", "t-values, weak-simple/simple, genus bounds",
         lambda p: p.add_argument("path"))
-    add("homology", cmd_homology, "homology and pi1 presentation",
+    add("homology", "homology and pi1 presentation",
         lambda p: p.add_argument("path"))
-    add("handles", cmd_handles, "handle-decomposition witnesses and profiles",
+    add("handles", "handle-decomposition witnesses and profiles",
         lambda p: p.add_argument("path"))
-    add("reduce", cmd_reduce, "eliminate proper dipoles and write the result",
+    add("reduce", "eliminate proper dipoles and write the result",
         lambda p: (p.add_argument("path"), p.add_argument("out")))
-    add("sum", cmd_sum, "graph connected sum",
+    add("sum", "graph connected sum",
         lambda p: (p.add_argument("path1"), p.add_argument("path2"),
                    p.add_argument("out")))
-    add("canon", cmd_canon, "print the canonical code",
+    add("canon", "print the canonical code",
         lambda p: (p.add_argument("path"),
                    p.add_argument("--color-preserving", action="store_true")))
-    add("generate", cmd_generate, "enumerate gems into a JSONL catalogue",
+    add("generate", "enumerate gems into a JSONL catalogue",
         lambda p: (p.add_argument("--colors", type=int, required=True),
                    p.add_argument("--max-order", type=int, required=True),
                    p.add_argument("--filters", default="",
                                   help="comma-separated: " + ",".join(catalogue.FILTERS)),
-                   p.add_argument("--jobs", type=int, default=1),
+                   p.add_argument("--jobs", type=int, default=1, help="at least 1"),
                    p.add_argument("--resume", default=None,
                                   help="meta file of an interrupted run"),
                    p.add_argument("--out", required=True)))
-    add("verify", cmd_verify, "replay all invariants over a catalogue",
+    add("verify", "replay all invariants over a catalogue",
         lambda p: p.add_argument("path"))
     return parser
 
 
+_parser = None  # main's parser, built on its first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up at call time, so that a replaced cmd_<name> is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        text = _render(args.fn(args), args.json)
+        text = _render(command(args), args.json)
     except GemFormatError as exc:
         _diag("format-error", exc)
         return 2

@@ -281,9 +281,15 @@ class HandlesReport:
 
 @core.memo
 def handles_report(g: core.ColoredGraph) -> HandlesReport:
-    """Witness scan plus a profile and collapse trace for each witness."""
+    """Witness scan plus a profile and collapse trace for each witness.
+    A trace depends on the witness's permutation alone (which fixes its
+    pair and pivot), so a special witness shares its no-1-handles twin's."""
     witnesses = find_hypothesis_witnesses(g)
     profiles = tuple(handle_profile(g, w) for w in witnesses)
-    collapses = tuple(collapse_2skeleton(g, w) for w in witnesses)
+    traces = {}
+    for w in witnesses:
+        if w.permutation not in traces:
+            traces[w.permutation] = collapse_2skeleton(g, w)
+    collapses = tuple(traces[w.permutation] for w in witnesses)
     return HandlesReport(witnesses=witnesses, profiles=profiles,
                          collapses=collapses)

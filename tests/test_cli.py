@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from gemkit import catalogue, cli, core, fixtures
+from gemkit.errors import StructuralError
 
 
 def run(capsys, *argv):
@@ -133,6 +134,64 @@ def test_generate_refuses_color_counts_no_code_holds(capsys, tmp_path, colors):
     lines = err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "structural-error"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_generate_refuses_jobs_below_one(capsys, tmp_path, jobs):
+    # refused with the color counts, before any shard runs
+    out = tmp_path / "cat.jsonl"
+    code, stdout, err = run(capsys, "generate", "--colors", "4", "--max-order", "2",
+                            "--jobs", jobs, "--out", str(out))
+    assert code == 2 and stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "structural-error" and "jobs" in error["message"]
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(StructuralError):
+        catalogue.generate_catalogue(out, 4, 2, jobs=int(jobs))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json"], ["bogus"], ["info"],
+    ["generate", "--colors", "x", "--max-order", "2", "--out", "c.jsonl"],
+])
+def test_usage_error_is_one_json_line(capsys, gem_file, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "usage-error"
+    # the parser main keeps still serves the next call
+    code, out, err = run(capsys, "--json", "info", gem_file(fixtures.sigma(5), "s5.gem"))
+    assert code == 0 and err == "" and json.loads(out)["input"]["order"] == 2
+
+
+def test_help_is_text_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["generate", "--help"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: gemkit generate")
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, gem_file):
+    built, real = [], cli.build_parser
+
+    def build():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    monkeypatch.setattr(cli, "_parser", None)
+    path = gem_file(fixtures.sigma(5), "s5.gem")
+    for cmd in ("info", "genus", "canon", "info"):
+        assert run(capsys, "--json", cmd, path)[0] == 0
+    assert len(built) == 1
+    # each caller of build_parser gets a parser of its own
+    assert real() is not real()
 
 
 def test_exit_1_analysis_refused(capsys, gem_file):

@@ -155,6 +155,23 @@ def test_collapse_identities_on_corpus(crystallization_corpus_order6):
             handles.collapse_2skeleton(g, w)  # raises on identity violation
 
 
+def test_report_traces_each_permutation_once(monkeypatch):
+    traced, real = [], handles.collapse_2skeleton
+
+    def collapse(g, w):
+        traced.append(w.permutation)
+        return real(g, w)
+
+    monkeypatch.setattr(handles, "collapse_2skeleton", collapse)
+    g = core.connected_sum(fixtures.cp2(), fixtures.cp2())
+    report = handles.handles_report.__wrapped__(g)  # past the memo
+    perms = [w.permutation for w in report.witnesses]
+    # each special witness shares its no-1-handles twin's permutation
+    assert len(set(perms)) < len(perms)
+    assert sorted(traced) == sorted(set(perms))
+    assert report.collapses == tuple(real(g, w) for w in report.witnesses)
+
+
 def test_empty_witness_list_is_a_valid_answer():
     # no pivot of this crystallization has two unit pair conditions; any
     # graph with every pair-complement count >= 2 lands here a fortiori

@@ -4,14 +4,17 @@ A rule written once belongs to one module; when a second module needs it,
 the owner makes it public.  Using another module's underscore name is how
 private copies of a rule start to be shared, so it fails here.  The
 runtime itself stays stdlib-only: its absolute imports name standard
-library modules and nothing else.  Memoisation has one owner too:
-``core.memo``, with one bound.
+library modules and nothing else, and the process pool is imported only
+by a run that uses it.  Memoisation has one owner too: ``core.memo``, with
+one bound.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +68,16 @@ def test_lru_cache_is_used_only_inside_core_memo():
 def test_every_memo_has_the_one_bound():
     assert core.MEMOS
     assert {memo.cache_info().maxsize for memo in core.MEMOS} == {core.MEMO_BOUND}
+
+
+def test_import_loads_no_process_pool():
+    # a fresh interpreter: this one has imported whatever the other tests use
+    paths = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    probe = ("import gemkit, gemkit.cli, sys; "
+             "print(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

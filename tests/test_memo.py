@@ -38,10 +38,11 @@ def test_guards_read_the_hat_residue_counts_once_per_graph(monkeypatch):
 
 # evaluations of each per-graph identity in one generate + verify of the
 # order <= 8 crystallization corpus: 37 records, 35 of them classified, 1,012
-# handle witnesses, 3 graphs with boundary
+# handle witnesses over 588 permutations (a special witness shares its
+# no-1-handles twin's collapse trace), 3 graphs with boundary
 ONCE_PER_GRAPH = {
     "handles.handle_profile": 1012,
-    "handles.collapse_2skeleton": 1012,
+    "handles.collapse_2skeleton": 588,
     "handles._boundary_h1": 3,
     "classification.genus_subgenus_residuals": 35 * 12,
     "classification.check_bounds": 35,
