@@ -8,6 +8,10 @@ so far.  It is the oracle for that prune: each of its shards finds the
 same codes as the library's, through more leaves.  Its pair ranks come
 from the cycle lists of `cycle_partition_by_lists`, and its triple test
 always joins the three matchings.
+
+`layout_keys` builds the shard keys in closed form, one least layout of
+the cycles per partition; the library reads each key off its shard's pool,
+and the oracles take theirs from here.
 """
 
 from __future__ import annotations
@@ -15,6 +19,32 @@ from __future__ import annotations
 import itertools
 
 from gemkit import catalogue, core
+
+
+def cycle_layout(length: int) -> list[int]:
+    """The least matching of 0..2*length-1 that closes the standard pairs
+    into one alternating cycle: pairs (0 2), (1 4), (3 6), ..., and last
+    (2*length-3, 2*length-1)."""
+    if length == 1:
+        return [1, 0]
+    pairs = [(0, 2)] + [(2 * i - 1, 2 * i + 2) for i in range(1, length - 1)]
+    pairs.append((2 * length - 3, 2 * length - 1))
+    m = [0] * (2 * length)
+    for a, b in pairs:
+        m[a], m[b] = b, a
+    return m
+
+
+def layout_keys(p: int) -> tuple[tuple[int, ...], ...]:
+    """One least layout per alternating-cycle partition of p/2, in partition
+    order: the least single-cycle layout of each part, parts ascending."""
+    reps = []
+    for part in catalogue._partitions(p // 2):
+        m: list[int] = []
+        for length in part:
+            m += [len(m) + x for x in cycle_layout(length)]
+        reps.append(tuple(m))
+    return tuple(reps)
 
 
 def cycle_partition_by_lists(a, b) -> tuple[int, ...]:
@@ -28,7 +58,7 @@ def run_shard_parent(n_colors: int, p: int, shard_index: int, filters: tuple[str
     prune on the chosen colors."""
     k = n_colors
     pi0 = catalogue.standard_matching(p)
-    pi1 = catalogue.canonical_second_matchings(p)[shard_index]
+    pi1 = layout_keys(p)[shard_index]
     rank = catalogue._shard_of_partition(p)
     cycles = [len(part) for part in rank]
     with_pi0 = {m: rank[cycle_partition_by_lists(pi0, m)] for m in catalogue.fpf_involutions(p)}

@@ -12,6 +12,7 @@ import pytest
 from gemkit import catalogue, core, fixtures, invariants, recognition
 
 from conftest import fpf_involutions
+from shard_parent import layout_keys
 
 
 def naive_codes(n_colors, max_order, filters=()):
@@ -116,7 +117,7 @@ def test_jobs_start_no_more_workers_than_pending_shards(tmp_path, monkeypatch):
 
 def test_shard_order_is_partition_order():
     for p in range(2, 33, 2):
-        reps = catalogue.canonical_second_matchings(p)
+        reps = layout_keys(p)
         assert list(reps) == sorted(reps)
         pi0, shard = catalogue.standard_matching(p), catalogue._shard_of_partition(p)
         assert [shard[catalogue._cycle_partition(pi0, rep)] for rep in reps] == \
@@ -287,6 +288,28 @@ def test_resume_rejects_changed_parameters(tmp_path):
     meta.write_text(json.dumps({"params": {}, "shards": {}}))
     with pytest.raises(StructuralError):
         catalogue.generate_catalogue(out, n_colors=3, max_order=4, resume_meta=meta)
+
+
+def test_resume_refuses_a_code_of_another_order(tmp_path):
+    # cp2's order-8 code checkpointed under an order-6 shard: refused before
+    # any shard runs, the meta left as it was
+    from gemkit.errors import GemFormatError
+    out, meta = tmp_path / "cat.jsonl", tmp_path / "cat.meta"
+    text = json.dumps({"params": {"n_colors": 5, "max_order": 6, "filters": ["crystallization"]},
+                       "shards": {"6:0": [core.canonical_code(fixtures.cp2()).hex()]}})
+    meta.write_text(text)
+    with pytest.raises(GemFormatError, match="of order 8, under shard '6:0'"):
+        catalogue.generate_catalogue(out, 5, 6, ("crystallization",), resume_meta=meta)
+    assert meta.read_text() == text
+    assert list(tmp_path.iterdir()) == [meta]
+
+
+@pytest.mark.parametrize("index", [-1, 3, 100])
+def test_run_shard_refuses_an_index_that_names_no_shard(index):
+    # order 6 has three shards, one per partition of 3
+    from gemkit.errors import StructuralError
+    with pytest.raises(StructuralError, match="shards 0 to 2"):
+        catalogue.run_shard(4, 6, index, ())
 
 
 def test_verify_corpus_clean_and_corrupted(tmp_path):

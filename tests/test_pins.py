@@ -7,6 +7,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import random
 
 import pytest
@@ -120,3 +121,46 @@ def test_cli_reduce_pinned(tmp_path, fixture, seed, steps, digest, gem_digest):
     text = out.getvalue().replace(str(tmp_path), "")
     assert _sha(text.encode()) == digest
     assert _sha(out_path.read_bytes()) == gem_digest
+
+
+def _corrupted_catalogue(path):
+    """The order <= 6 5-color crystallizations, two of them corrupted, then
+    records that stop at each rung of verify: 2, 3 and 4 colors, a
+    nontrivial pi1, a gate that raises and a code that does not decode."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[0]["bipartite"] = not records[0]["bipartite"]
+    records[1]["manifold"] = {**records[1]["manifold"], "verdict": "not-a-manifold"}
+    for fixture in (fixtures.sigma(2), fixtures.torus(), fixtures.rp3(),
+                    fixtures.nonsimply_connected()):
+        records.append(json.loads(
+            catalogue.build_record(core.canonical_code(fixture).hex()).to_json_line()))
+    # two order-2 5-colored components: the crystallization test raises
+    records.append({"code": "0105010004" + "0101010101" "0000000000" "0303030303"
+                    "0202020202", "order": 4, "colors": 5, "bipartite": True,
+                    "generator": "elsewhere"})
+    records.append({"code": "0105000002", "order": 2, "colors": 5, "bipartite": True})
+    bad = path.with_name("corrupted.jsonl")
+    bad.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    return bad
+
+
+@pytest.mark.parametrize("corrupted, as_json, code, digest", [
+    (False, False, 0, "3db252f3c44c9c98654ee974c52e65e32bcf3ebc7223c0f890c1a129db121a27"),
+    (False, True, 0, "76e41986273b630e6000d1f5e3e46edb42344066fcaaf15ede1cc8d222d52ef4"),
+    (True, False, 3, "442017a672a4db3dc1347739fd996ea35a37022c70459adf4df89ec7b77edc0a"),
+    (True, True, 3, "442017a672a4db3dc1347739fd996ea35a37022c70459adf4df89ec7b77edc0a"),
+])
+def test_verify_output_pinned(tmp_path, corrupted, as_json, code, digest):
+    # the order of the checks and the message a raising gate gives every
+    # check behind it; a failing corpus writes nothing to stdout, so its
+    # diagnostic and the whole report are pinned too
+    path = tmp_path / "cat.jsonl"
+    catalogue.generate_catalogue(path, 5, 6, ("crystallization",))
+    if corrupted:
+        path = _corrupted_catalogue(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["--json"] * as_json + ["verify", str(path)])
+    assert rc == code
+    report = json.dumps(catalogue.verify_corpus(path), sort_keys=True)
+    assert _sha((out.getvalue() + err.getvalue() + report).encode()) == digest

@@ -29,12 +29,12 @@ import pytest
 
 from gemkit import catalogue, core
 
-from shard_parent import cycle_partition_by_lists, run_shard_parent
+from shard_parent import cycle_partition_by_lists, layout_keys, run_shard_parent
 
 
 def run_shard_oracle(k: int, p: int, shard_index: int, filters: tuple[str, ...]) -> list[str]:
     pi0 = catalogue.standard_matching(p)
-    pi1 = catalogue.canonical_second_matchings(p)[shard_index]
+    pi1 = layout_keys(p)[shard_index]
     pool = [m for m in catalogue.fpf_involutions(p) if m >= pi1]
     crys = "crystallization" in filters
     want_bipartite = "bipartite" in filters
@@ -160,7 +160,7 @@ def _is_subsequence(part, whole) -> bool:
 @pytest.mark.parametrize("p", [2, 4, 6, 8, 10, 12])
 def test_shard_keys_are_the_brute_force_orbit_minima(p):
     pi0 = catalogue.standard_matching(p)
-    reps = catalogue.canonical_second_matchings(p)
+    reps = layout_keys(p)
     assert reps == tuple(sorted({_orbit_min(_one_cycle_per_part(part, p), p)
                                  for part in catalogue._partitions(p // 2)}))
     assert len(reps) == (1, 2, 3, 5, 7, 11)[p // 2 - 1]  # partitions of p/2
@@ -169,12 +169,41 @@ def test_shard_keys_are_the_brute_force_orbit_minima(p):
             for m in reps] == list(range(len(reps)))
 
 
+def test_each_pool_starts_at_its_layout_key(monkeypatch):
+    # the least matching that ranks at least shard i with the standard
+    # matching is the least layout of partition i, through p = 14
+    for p in range(2, 15, 2):
+        pi0, rank = catalogue.standard_matching(p), catalogue._shard_of_partition(p)
+        pool = catalogue.fpf_involutions.__wrapped__(p)  # not memoised: 135,135 at p = 14
+        ranks = [rank[catalogue._cycle_partition(pi0, m)] for m in pool]
+        keys = layout_keys(p)
+        assert len(keys) == len(rank)
+        for i, key in enumerate(keys):
+            assert next(m for m, r in zip(pool, ranks) if r >= i) == key, (p, i)
+
+    # and run_shard takes it as color 1, the matching H fixes with pi0
+    class Taken(Exception):
+        pass
+
+    taken = []
+
+    def take(pi0, pi1):
+        taken.append(pi1)
+        raise Taken
+
+    monkeypatch.setattr(catalogue, "_stabilizer_generators", take)
+    for p, index in catalogue.shard_keys(12):
+        with pytest.raises(Taken):
+            catalogue.run_shard(3, p, index, ())
+    assert taken == [key for p in range(2, 13, 2) for key in layout_keys(p)]
+
+
 @pytest.mark.parametrize("p", [2, 4, 6, 8, 10])
 def test_generator_orbits_are_the_brute_force_stabilizer_orbits(p):
     pi0 = catalogue.standard_matching(p)
     pool = list(catalogue.fpf_involutions(p))
     index = {m: i for i, m in enumerate(pool)}
-    for pi1 in catalogue.canonical_second_matchings(p):
+    for pi1 in layout_keys(p):
         group = [h for h in _stabilizer(p) if _image(pi1, h) == pi1]
         least = [None] * len(pool)
         for i, m in enumerate(pool):
@@ -314,7 +343,7 @@ def test_prune_keeps_every_h_class_of_leaves(k, shards, filters):
     # least H-image of each sorted leaf names its class
     checked = 0
     for p, index in shards:
-        pi1 = catalogue.canonical_second_matchings(p)[index]
+        pi1 = layout_keys(p)[index]
         group = [h for h in _stabilizer(p) if _image(pi1, h) == pi1]
         if len(group) > 48:
             continue
@@ -351,6 +380,6 @@ def test_triple_test_gives_the_join_only_answer(monkeypatch, k):
 def test_cycle_partition_counts_the_cycle_lists():
     pool = catalogue.fpf_involutions(10)
     assert len(pool) == 945
-    for key in catalogue.canonical_second_matchings(10):
+    for key in layout_keys(10):
         for m in pool:
             assert catalogue._cycle_partition(key, m) == cycle_partition_by_lists(key, m), (key, m)
