@@ -8,11 +8,11 @@ crystallizations with their genus bounds, finds handle-decomposition
 witnesses, and enumerates catalogues of gems up to isomorphism.
 """
 
-from .core import (COLOR_PRESERVING, UP_TO_COLOR_PERMUTATION, CanonicalCode,
-                   ColoredGraph, add_dipole, bipartition, canonical_code,
-                   complement_key, connected_sum, decode_code, disjoint_union,
-                   format_gem, is_bipartite, is_connected, load_gem,
-                   parse_gem, reduce, residue_count, residue_key, save_gem)
+from .core import (COLOR_PRESERVING, UP_TO_COLOR_PERMUTATION, ColoredGraph,
+                   add_dipole, bipartition, canonical_code, complement_key,
+                   connected_sum, decode_code, disjoint_union, format_gem,
+                   is_bipartite, is_connected, load_gem, parse_gem, reduce,
+                   residue_count, residue_key, save_gem)
 from .errors import (AnalysisRefused, GemFormatError, GemkitError,
                      InternalConsistencyError, StructuralError)
 from .genus import (CyclicPermutation, GenusReport, all_cyclic_permutations,

@@ -306,8 +306,8 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     its pool (those that rank at least the shard with the standard
     matching), every pair of colors ranks at least the shard, and only
     labellings least under H are walked, H's orbit minima computed once per
-    set of generators met.  An index that names no partition of p/2 is
-    refused.
+    set of generators met.  What ``_check_run`` refuses up to order p is
+    refused, and so is an index that names no partition of p/2.
 
     The nondecreasing matching tuples are walked as a tree carrying, per
     potential deleted color, the vertex partition of the matchings chosen
@@ -323,6 +323,7 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     walked and each triple tested once per shard, and each distinct code
     decoded and filtered once.
     """
+    filters = _check_run(n_colors, p, filters)
     k = n_colors
     rank = _shard_of_partition(p)
     if not 0 <= shard_index < len(rank):
@@ -657,9 +658,10 @@ def _check_bipartite(g, rec):
 
 
 def _check_digests(g, rec):
-    # every digest must be reproducible from the code alone
+    # every digest must be reproducible from the code alone, by this generator
     if rec.generator != GENERATOR_VERSION:
-        raise _Skip
+        raise InternalConsistencyError(
+            f"record written by generator {rec.generator!r}, not {GENERATOR_VERSION!r}")
     if build_record(rec.code) != rec:
         raise InternalConsistencyError("analysis digests drifted from the code")
 

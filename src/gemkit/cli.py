@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 analysis refused (hypotheses not certified),
-2 a usage error, malformed input, a file or report that cannot be read or
-written, or a structural error, 3 internal-consistency error (an identity
-that must hold failed) or any other exception - always a bug.
+Exit codes (``_OUTCOMES``): 0 success, 1 analysis refused (hypotheses not
+certified), 2 a usage error, malformed input, a file or report that cannot
+be read or written, or a structural error, 3 internal-consistency error (an
+identity that must hold failed) or any other exception - always a bug.
 Diagnostics go to stderr as one JSON line; reports go to stdout,
 human-readable by default or as JSON with --json.  No environment
 variables are consulted.
@@ -23,8 +23,10 @@ from .errors import (AnalysisRefused, GemFormatError, GemkitError,
 SCHEMA = "gemkit-report/1"
 
 
-def _base_report(path, g: core.ColoredGraph) -> dict:
-    return {
+def _loaded(path) -> tuple[core.ColoredGraph, dict]:
+    """The gem at ``path`` and the head of its report."""
+    g = core.load_gem(path)
+    return g, {
         "schema_version": SCHEMA,
         "input": {
             "path": str(path),
@@ -63,8 +65,7 @@ def _render(report: dict, as_json: bool) -> str:
 
 
 def cmd_info(args) -> dict:
-    g = core.load_gem(args.path)
-    report = _base_report(args.path, g)
+    g, report = _loaded(args.path)
     report["connected"] = core.is_connected(g)
     report["hat_residue_counts"] = {
         str(c): n for c, n in core.hat_residue_counts(g).items()}
@@ -79,12 +80,10 @@ def cmd_info(args) -> dict:
 
 
 def cmd_genus(args) -> dict:
-    g = core.load_gem(args.path)
-    report = _base_report(args.path, g)
-    full = genus.genus_all(g)
-    section = full.to_json()
-    if args.permutation:
-        eps = _parse_permutation(args.permutation, g.n_colors)
+    g, report = _loaded(args.path)
+    section = genus.genus_all(g).to_json()
+    if args.permutation is not None:
+        eps = genus.as_permutation(g, _parse_permutation(args.permutation))
         section["requested"] = {
             str(eps): genus.fraction_json(genus.genus_wrt(g, eps))}
     report["genus"] = section
@@ -92,16 +91,14 @@ def cmd_genus(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    g = core.load_gem(args.path)
-    report = _base_report(args.path, g)
+    g, report = _loaded(args.path)
     report["classification"] = classification.classification_report(g).to_json()
     _note_conditional(report, "classification")
     return report
 
 
 def cmd_homology(args) -> dict:
-    g = core.load_gem(args.path)
-    report = _base_report(args.path, g)
+    g, report = _loaded(args.path)
     report["homology"] = invariants.homology(g).to_json()
     _note_conditional(report, "homology")
     pres = invariants.presentation_raw(g, *invariants.color_pair(g))
@@ -115,8 +112,7 @@ def cmd_homology(args) -> dict:
 
 
 def cmd_handles(args) -> dict:
-    g = core.load_gem(args.path)
-    report = _base_report(args.path, g)
+    g, report = _loaded(args.path)
     report["handles"] = handles.handles_report(g).to_json()
     return report
 
@@ -155,23 +151,23 @@ def cmd_generate(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    result = catalogue.verify_corpus(args.path)
-    if not result["ok"]:
+    report = {"schema_version": SCHEMA, **catalogue.verify_corpus(args.path)}
+    if not report["ok"]:
+        # the report shows what failed: it goes out before the diagnostic
+        _write(_render(report, args.json))
         raise InternalConsistencyError(
-            f"{len(result['failures'])} corpus check(s) failed; first: "
-            f"{result['failures'][0]}")
-    return {"schema_version": SCHEMA, **result}
+            f"{len(report['failures'])} corpus check(s) failed; first: "
+            f"{report['failures'][0]}")
+    return report
 
 
-def _parse_permutation(text: str, k: int):
+def _parse_permutation(text: str) -> tuple[int, ...]:
+    """The integers of ``text``, e.g. ``(0,1,2,3,4)``, unchecked."""
     body = text.strip().strip("()")
     try:
-        seq = tuple(int(tok) for tok in body.replace(",", " ").split())
+        return tuple(int(tok) for tok in body.replace(",", " ").split())
     except ValueError as exc:
         raise StructuralError(f"bad permutation {text!r}") from exc
-    if len(seq) != k:
-        raise StructuralError(f"permutation {text!r} has wrong length for {k} colors")
-    return genus.CyclicPermutation.canonical(seq)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,6 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 _parser = None  # main's parser, built on its first call
 
+# The diagnostic type and exit code of each failure, most specific class
+# first; any other exception is a bug: unexpected-error, exit 3.
+_OUTCOMES = (
+    (GemFormatError, "format-error", 2),
+    (StructuralError, "structural-error", 2),
+    (AnalysisRefused, "analysis-refused", 1),
+    (InternalConsistencyError, "internal-consistency-error", 3),
+    (GemkitError, "error", 2),
+)
+
 
 def main(argv=None) -> int:
     global _parser
@@ -239,34 +245,25 @@ def main(argv=None) -> int:
     # looked up at call time, so that a replaced cmd_<name> is the one run
     command = globals()[f"cmd_{args.command}"]
     try:
-        text = _render(command(args), args.json)
-    except GemFormatError as exc:
-        _diag("format-error", exc)
-        return 2
-    except StructuralError as exc:
-        _diag("structural-error", exc)
-        return 2
-    except AnalysisRefused as exc:
-        _diag("analysis-refused", exc)
-        return 1
-    except InternalConsistencyError as exc:
-        _diag("internal-consistency-error", exc)
-        return 3
-    except GemkitError as exc:
-        _diag("error", exc)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - any other failure is a bug, reported as such
+        _write(_render(command(args), args.json))
+    except Exception as exc:  # noqa: BLE001 - an exception the table lacks is a bug
+        for cls, kind, code in _OUTCOMES:
+            if isinstance(exc, cls):
+                _diag(kind, exc)
+                return code
         _diag("unexpected-error", f"{type(exc).__name__}: {exc}")
         return 3
+    return 0
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout, refused like a file that cannot be written."""
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        # the interpreter flushes stdout again at exit: send that nowhere
-        sys.stdout = open(os.devnull, "w", encoding="utf-8")
-        _diag("format-error", f"cannot write the report: {exc}")
-        return 2
-    return 0
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")  # for the flush at exit
+        raise GemFormatError(f"cannot write the report: {exc}") from exc
 
 
 def _diag(kind: str, exc: Exception | str) -> None:

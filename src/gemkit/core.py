@@ -364,17 +364,6 @@ def _bfs_stream(matchings, p, start, color_order, best):
     return stream, order
 
 
-@dataclass(frozen=True)
-class CanonicalCode:
-    """Byte string identifying a connected gem up to the isomorphism flavor
-    its byte 0 records (1: up to color permutation): equal codes iff isomorphic."""
-
-    data: bytes
-
-    def hex(self) -> str:
-        return self.data.hex()
-
-
 def _minimal_first_rows(matchings, p, k, permute):
     """Yield each start whose stream has the least first row, with a lazy
     iterable of the color orders that attain it.
@@ -446,8 +435,10 @@ def _interleavings(seqs):
 
 
 @memo
-def canonical_code(g: ColoredGraph, flavor: str = UP_TO_COLOR_PERMUTATION) -> CanonicalCode:
-    """Canonical form via lexicographically minimal BFS adjacency stream.
+def canonical_code(g: ColoredGraph, flavor: str = UP_TO_COLOR_PERMUTATION) -> bytes:
+    """The bytes identifying the connected g up to the isomorphism flavor
+    that byte 0 records (1: up to color permutation): equal codes iff
+    isomorphic.  Found via the lexicographically minimal BFS adjacency stream.
 
     The minimum is over every start vertex and (for the
     up-to-color-permutation flavor) every color order, found by
@@ -501,20 +492,18 @@ def canonical_code(g: ColoredGraph, flavor: str = UP_TO_COLOR_PERMUTATION) -> Ca
     width = 1 if p <= 0xFF else 2
     head = bytes([flavor == UP_TO_COLOR_PERMUTATION, k, width]) + p.to_bytes(2, "big")
     body = b"".join(x.to_bytes(width, "big") for x in best)
-    return CanonicalCode(data=head + body)
+    return head + body
 
 
-def decode_code(code: CanonicalCode | bytes | str) -> ColoredGraph:
-    """Rebuild the canonical representative graph from its code."""
-    if isinstance(code, CanonicalCode):
-        data = code.data
-    elif isinstance(code, str):
+def decode_code(code: bytes | str) -> ColoredGraph:
+    """Rebuild the canonical representative graph from its code, given as
+    bytes or as a hex string."""
+    data = code
+    if isinstance(code, str):
         try:
             data = bytes.fromhex(code)
         except ValueError as exc:
             raise GemFormatError(f"bad code hex: {exc}") from exc
-    else:
-        data = code
     if len(data) < 5:
         raise GemFormatError("canonical code too short")
     k, width = data[1], data[2]

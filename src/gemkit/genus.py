@@ -24,24 +24,29 @@ from . import core
 from .errors import InternalConsistencyError, StructuralError
 
 
+def _cyclic_form(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """The distinct colors ``seq`` up to rotation and reversal, which induce
+    the same embedding: greatest color last, in the direction that reads less."""
+    if not seq:
+        return seq
+    i = seq.index(max(seq))
+    rot = seq[i + 1:] + seq[:i + 1]
+    return min(rot, rot[-2::-1] + rot[-1:])
+
+
 @dataclass(frozen=True)
 class CyclicPermutation:
-    """Cyclic ordering of the color set, stored canonically: the top color
-    sits last and the sequence is lexicographically minimal among itself
-    and its reversal (a cycle and its inverse induce the same embedding)."""
+    """Cyclic ordering of the color set, stored in its ``_cyclic_form``."""
 
     seq: tuple[int, ...]
 
     @classmethod
     def canonical(cls, seq) -> "CyclicPermutation":
+        """``seq``, refused unless it lists each of 0..len(seq)-1 once."""
         seq = tuple(seq)
-        k = len(seq)
-        if sorted(seq) != list(range(k)):
-            raise StructuralError(f"{seq} is not a permutation of 0..{k - 1}")
-        i = seq.index(k - 1)
-        rot = seq[i + 1:] + seq[:i + 1]
-        rev = tuple(reversed(rot[:-1])) + (k - 1,)
-        return cls(min(rot, rev))
+        if sorted(seq) != list(range(len(seq))):
+            raise StructuralError(f"{seq} is not a permutation of 0..{len(seq) - 1}")
+        return cls(_cyclic_form(seq))
 
     @property
     def n_colors(self) -> int:
@@ -74,11 +79,9 @@ def all_cyclic_permutations(n_colors: int) -> tuple[CyclicPermutation, ...]:
 
 def as_permutation(g: core.ColoredGraph, eps) -> CyclicPermutation:
     """``eps`` (a CyclicPermutation or any color sequence) as the canonical
-    cyclic order of g's colors; refuses a sequence of another length."""
-    if isinstance(eps, CyclicPermutation):
-        perm = eps
-    else:
-        perm = CyclicPermutation.canonical(tuple(eps))
+    cyclic order of g's colors: the one check that a sequence is such an
+    order, which refuses one that does not list each of g's colors once."""
+    perm = eps if isinstance(eps, CyclicPermutation) else CyclicPermutation.canonical(eps)
     if perm.n_colors != g.n_colors:
         raise StructuralError("permutation does not match the graph's color set")
     return perm
@@ -95,6 +98,8 @@ def residue_genera(g: core.ColoredGraph, seq) -> tuple[Fraction, ...]:
     """
     k = len(seq)
     key = core.checked_key(g, seq)
+    if len(key) != k:
+        raise StructuralError(f"{tuple(seq)} repeats a color")
     labels, count = core.residue_labels(g, key)
     size, cycles = Counter(labels), Counter()
     for i in range(k):
@@ -112,19 +117,18 @@ def residue_genera(g: core.ColoredGraph, seq) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def genus_of_sequence(g: core.ColoredGraph, seq: tuple[int, ...]) -> Fraction:
-    """rho of the connected g with respect to a cyclic sequence of its colors,
-    canonical or not: the one-residue case of ``residue_genera``."""
+def genus_of_sequence(g: core.ColoredGraph, seq) -> Fraction:
+    """rho of the connected g with respect to a cyclic order of its colors,
+    canonical or not (see ``as_permutation``): the one-residue case of
+    ``residue_genera``, integral when g is bipartite, else a multiple of 1/2."""
+    seq = as_permutation(g, seq).seq
     core.require_connected(g)
     return residue_genera(g, seq)[0]
 
 
 def genus_wrt(g: core.ColoredGraph, eps) -> Fraction:
-    """Regular genus of g with respect to the cyclic permutation eps.
-
-    Integer for bipartite graphs, otherwise a nonnegative multiple of 1/2.
-    """
-    return genus_of_sequence(g, as_permutation(g, eps).seq)
+    """Regular genus of g with respect to the cyclic permutation eps."""
+    return genus_of_sequence(g, eps)
 
 
 def subgenus(g: core.ColoredGraph, eps, i: int) -> Fraction:
@@ -172,16 +176,6 @@ class GenusReport:
 def fraction_json(v: Fraction | int):
     """JSON rendering of exact genera: int when integral, 'a/b' otherwise."""
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-def _cyclic_form(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """``seq`` up to rotation and reversal: rotated to its least color, in
-    whichever direction reads less."""
-    if not seq:
-        return seq
-    i = seq.index(min(seq))
-    rot = seq[i:] + seq[:i]
-    return min(rot, rot[:1] + rot[:0:-1])
 
 
 @core.memo

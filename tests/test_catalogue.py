@@ -430,6 +430,19 @@ def test_generate_refuses_before_writing(tmp_path, max_order, filters):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("n_colors, p, filters", [
+    (5, 7, ()),                  # odd order
+    (5, 0, ()),                  # order below 2
+    (2, 4, ()),                  # too few colors
+    (5, 4, ("nope",)),           # unknown filter
+    (3, 4, ("weak-simple",)),    # a filter defined for 5 colors only
+])
+def test_run_shard_refuses_what_a_run_refuses(n_colors, p, filters):
+    from gemkit.errors import StructuralError
+    with pytest.raises(StructuralError):
+        catalogue.run_shard(n_colors, p, 0, filters)
+
+
 # two order-2 components, over 3 and over 5 colors: decodable, not connected
 DISCONNECTED = {3: "0103010004" + "010101" "000000" "030303" "020202",
                 5: "0105010004" + "0101010101" "0000000000" "0303030303" "0202020202"}
@@ -440,9 +453,12 @@ def test_verify_reports_a_disconnected_code_instead_of_raising():
                                     bipartite=True)
     result = catalogue.verify_record(rec)
     failed = {name for name, status in result.items() if status != "skip"}
-    assert failed == {"decode-recode", "bipartite-flag", "manifold-verdict"}
+    assert failed == {"decode-recode", "bipartite-flag", "record-digests", "manifold-verdict"}
+    # the record names no generator, so its digests are not this generator's
+    assert result["record-digests"] == \
+        f"fail: record written by generator '', not {catalogue.GENERATOR_VERSION!r}"
     assert all(result[name] == "fail: operation requires a connected graph"
-               for name in failed)
+               for name in failed - {"record-digests"})
     report = catalogue.verify_corpus([rec])
     assert report["ok"] is False
     assert {f["check"] for f in report["failures"]} == failed
@@ -450,11 +466,13 @@ def test_verify_reports_a_disconnected_code_instead_of_raising():
 
 def test_every_check_behind_a_raising_gate_fails_with_its_message():
     # the crystallization test refuses the disconnected gem: every check not
-    # yet run fails with that message, none is skipped
+    # yet run fails with that message, none is skipped; record-digests fails
+    # first, on the foreign generator
     rec = catalogue.CatalogueRecord(code=DISCONNECTED[5], order=4, colors=5,
                                     bipartite=True, generator="elsewhere")
     result = catalogue.verify_record(rec)
-    assert result["record-digests"] == "skip"
+    assert result["record-digests"] == \
+        f"fail: record written by generator 'elsewhere', not {catalogue.GENERATOR_VERSION!r}"
     assert all(status == "fail: operation requires a connected graph"
                for name, status in result.items() if name != "record-digests")
 

@@ -61,6 +61,15 @@ def test_genus_permutation_flag(capsys, gem_file):
     assert report["genus"]["requested"] == {"(0,1,2,3,4)": 0}
 
 
+@pytest.mark.parametrize("permutation", ["(0,1,2,3)", "(0,1,1,2,3)", "(0,1,2,3,5)", ""])
+def test_genus_refuses_a_permutation_of_other_colors(capsys, gem_file, permutation):
+    # wrong length, a repeated color, a color out of range, no color at all
+    path = gem_file(fixtures.sigma(5), "s5.gem")
+    code, out, err = run(capsys, "genus", path, "--permutation", permutation)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "structural-error"
+
+
 def test_classify_cp2(capsys, gem_file):
     path = gem_file(fixtures.cp2(), "cp2.gem")
     code, out, _ = run(capsys, "--json", "classify", path)

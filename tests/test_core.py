@@ -156,7 +156,7 @@ def test_code_decode_round_trip():
 
 
 def test_decode_code_rejects_bad_header():
-    good = core.canonical_code(fixtures.sigma(5)).data
+    good = core.canonical_code(fixtures.sigma(5))
     for bad in (good[:1] + b"\x00" + good[2:],    # no colors
                 good[:2] + b"\x00" + good[3:],    # width 0
                 good[:2] + b"\x03" + good[3:]):   # width 3

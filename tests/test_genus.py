@@ -191,3 +191,36 @@ def test_genus_report_is_read_only():
     with pytest.raises(AttributeError):
         rep.regular_genus = 0
     assert genus.genus_all(g).rho[eps] == 2
+
+
+def least_first_form(seq):
+    """The cyclic form genus used to key induced orders by: rotated to its
+    least color, in whichever direction reads less."""
+    if not seq:
+        return seq
+    i = seq.index(min(seq))
+    rot = seq[i:] + seq[:i]
+    return min(rot, rot[:1] + rot[:0:-1])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cyclic_form_groups_induced_orders_as_the_least_first_form(n):
+    # every canonical order with every position deleted: both forms must
+    # split these induced orders into the same classes
+    induced = [e.delete(i) for e in genus.all_cyclic_permutations(n) for i in range(n)]
+    pairs = {(least_first_form(s), genus._cyclic_form(s)) for s in induced}
+    assert len({old for old, _ in pairs}) == len({new for _, new in pairs}) == len(pairs)
+    for s in induced:
+        assert genus._cyclic_form(s)[-1] == max(s)
+
+
+@pytest.mark.parametrize("seq", [(0, 1, 2), (0, 1, 1, 2, 3, 4), (0, 1, 2, 3, 5), ()])
+def test_genus_of_sequence_refuses_what_is_no_cyclic_order_of_the_colors(seq):
+    with pytest.raises(StructuralError):
+        genus.genus_of_sequence(fixtures.cp2(), seq)
+
+
+@pytest.mark.parametrize("seq", [(0, 1, 1), (0, 1, 2, 1)])
+def test_residue_genera_refuses_a_repeated_color(seq):
+    with pytest.raises(StructuralError, match="repeats a color"):
+        genus.residue_genera(fixtures.cp2(), seq)

@@ -147,13 +147,14 @@ def _corrupted_catalogue(path):
 @pytest.mark.parametrize("corrupted, as_json, code, digest", [
     (False, False, 0, "3db252f3c44c9c98654ee974c52e65e32bcf3ebc7223c0f890c1a129db121a27"),
     (False, True, 0, "76e41986273b630e6000d1f5e3e46edb42344066fcaaf15ede1cc8d222d52ef4"),
-    (True, False, 3, "442017a672a4db3dc1347739fd996ea35a37022c70459adf4df89ec7b77edc0a"),
-    (True, True, 3, "442017a672a4db3dc1347739fd996ea35a37022c70459adf4df89ec7b77edc0a"),
+    (True, False, 3, "224eb189a8e3feba25c9138cb8fdfdc915435d052d0eb9d97ef38112498f4255"),
+    (True, True, 3, "c8694b0da417125ae9c03b558ec0c21916a5513d232f4902ecbb32a89ed06eea"),
 ])
 def test_verify_output_pinned(tmp_path, corrupted, as_json, code, digest):
     # the order of the checks and the message a raising gate gives every
-    # check behind it; a failing corpus writes nothing to stdout, so its
-    # diagnostic and the whole report are pinned too
+    # check behind it; a failing corpus writes its report to stdout, then its
+    # diagnostic to stderr, and the record from generator "elsewhere" fails
+    # record-digests
     path = tmp_path / "cat.jsonl"
     catalogue.generate_catalogue(path, 5, 6, ("crystallization",))
     if corrupted:
