@@ -518,12 +518,28 @@ def _check_run(n_colors: int, max_order: int, filters, jobs: int = 1) -> tuple[s
     return filters
 
 
+def _exit_with_parent() -> None:
+    """Pool worker initializer: a daemon thread ends the worker once its
+    parent process is gone.  A killed parent cannot shut its pool down, and
+    its workers, blocked on their task queue, would otherwise outlive it."""
+    import threading
+    import time
+
+    def watch(parent: int) -> None:
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, args=(os.getppid(),), daemon=True).start()
+
+
 def ProcessPoolExecutor(max_workers: int):
     """The standard library's process pool, imported on the first call:
     only ``jobs`` > 1 uses it, and importing it at ``import gemkit`` would
-    load ``multiprocessing`` into every process."""
+    load ``multiprocessing`` into every process.  Its workers exit when
+    their parent does (``_exit_with_parent``)."""
     from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
+    return pool(max_workers=max_workers, initializer=_exit_with_parent)
 
 
 def _run_shards(n_colors: int, keys, filters: tuple[str, ...], jobs: int = 1):

@@ -28,6 +28,7 @@ def t_values(g: core.ColoredGraph) -> MappingProxyType:
                              for triple in itertools.combinations(range(5), 3)})
 
 
+@core.memo
 def skew_triples(eps: genus.CyclicPermutation) -> tuple[tuple[int, int, int], ...]:
     """The five triples {eps_i, eps_i+2, eps_i+4} of a cyclic 5-color order;
     each is the complement of a consecutive pair."""
@@ -54,7 +55,7 @@ def detect_simple(g: core.ColoredGraph) -> bool:
 
 
 @core.memo
-def genus_subgenus_residuals(g: core.ColoredGraph, eps) -> tuple[Fraction, ...]:
+def genus_subgenus_residuals(g: core.ColoredGraph, eps) -> tuple[int | Fraction, ...]:
     """The five residuals rho - rho(drop i) - rho(drop i+2) - t(skew triple).
 
     Zero, position by position, on every crystallization of a
@@ -86,7 +87,7 @@ def weak_simple_consistency(g: core.ColoredGraph) -> tuple[genus.CyclicPermutati
     witnesses = tuple(detect_weak_simple(g))
     report = genus.genus_all(g)
     by_subgenus = tuple(eps for eps in genus.all_cyclic_permutations(5)
-                        if all(v == Fraction(report.rho[eps], 2)
+                        if all(2 * v == report.rho[eps]
                                for v in report.subgenera[eps]))
     if witnesses != by_subgenus:
         raise InternalConsistencyError(
@@ -103,7 +104,7 @@ class BoundsReport:
     both bounds and certifies the genus invariant of the manifold exactly.
     """
 
-    rho: Fraction
+    rho: int | Fraction
     two_beta2: int
     two_chi_minus_4: int
     weak_simple: bool

@@ -7,8 +7,9 @@ when the graph is bipartite, and its (half-)genus rho_eps satisfies
     2 - 2*rho_eps = sum_j g_{eps_j, eps_{j+1}} + (1 - n) * p'
 
 where n = k - 1, the sum runs over consecutive color pairs of eps, and the
-graph has 2*p' vertices.  All arithmetic is exact; non-bipartite graphs get
-half-integral genera as Fractions.
+graph has 2*p' vertices.  All arithmetic is exact, on twice rho as an int:
+every genus here is an int when it is integral, and a Fraction only when it
+is half-integral, which only non-bipartite residues can be.
 """
 
 from __future__ import annotations
@@ -87,13 +88,20 @@ def as_permutation(g: core.ColoredGraph, eps) -> CyclicPermutation:
     return perm
 
 
-def residue_genera(g: core.ColoredGraph, seq) -> tuple[Fraction, ...]:
+def _total(genera) -> int | Fraction:
+    """Sum of genera: an int when it is integral."""
+    total = sum(genera)
+    return total if isinstance(total, int) or total.denominator != 1 else total.numerator
+
+
+def residue_genera(g: core.ColoredGraph, seq) -> tuple[int | Fraction, ...]:
     """rho of every residue of g over the colors of ``seq``, with respect to
     the cyclic order ``seq``, numbered as ``core.residue_labels`` numbers
-    the residues.
+    the residues: an int when integral, else a half-integral Fraction.
 
     Read off g's own labels, with no residue gem built: each {i, j}-cycle
-    lies in one residue, so one vertex's labels map it there.  Only a
+    lies in one residue, so one vertex's labels map it there; when there is
+    one residue, each pair's cycle count is its own residue count.  Only a
     half-integral rho needs the residue's two-coloring.
     """
     k = len(seq)
@@ -101,23 +109,28 @@ def residue_genera(g: core.ColoredGraph, seq) -> tuple[Fraction, ...]:
     if len(key) != k:
         raise StructuralError(f"{tuple(seq)} repeats a color")
     labels, count = core.residue_labels(g, key)
-    size, cycles = Counter(labels), Counter()
-    for i in range(k):
-        pair = core.residue_key((seq[i], seq[(i + 1) % k]))
-        cycles.update(dict(zip(core.residue_labels(g, pair)[0], labels)).values())
+    pairs = [core.residue_key((seq[i], seq[(i + 1) % k])) for i in range(k)]
+    if count == 1:
+        twice = [2 - sum(core.residue_labels(g, pair)[1] for pair in pairs)
+                 + (k - 2) * (g.order // 2)]
+    else:
+        size, cycles = Counter(labels), Counter()
+        for pair in pairs:
+            cycles.update(dict(zip(core.residue_labels(g, pair)[0], labels)).values())
+        twice = [2 - cycles[lab] + (k - 2) * (size[lab] // 2) for lab in range(count)]
     out = []
-    for lab in range(count):
-        rho = Fraction(2 - cycles[lab] + (k - 2) * (size[lab] // 2), 2)
-        if rho < 0:
+    for lab, t in enumerate(twice):
+        rho = Fraction(t, 2) if t % 2 else t // 2
+        if t < 0:
             raise StructuralError(f"negative genus {rho}: input is not a gem")
-        if rho.denominator != 1 and core.two_coloring(
+        if t % 2 and core.two_coloring(
                 [g.matchings[c] for c in key], labels.index(lab)) is not None:
             raise InternalConsistencyError(f"bipartite graph with half-integral genus {rho}")
         out.append(rho)
     return tuple(out)
 
 
-def genus_of_sequence(g: core.ColoredGraph, seq) -> Fraction:
+def genus_of_sequence(g: core.ColoredGraph, seq) -> int | Fraction:
     """rho of the connected g with respect to a cyclic order of its colors,
     canonical or not (see ``as_permutation``): the one-residue case of
     ``residue_genera``, integral when g is bipartite, else a multiple of 1/2."""
@@ -126,12 +139,12 @@ def genus_of_sequence(g: core.ColoredGraph, seq) -> Fraction:
     return residue_genera(g, seq)[0]
 
 
-def genus_wrt(g: core.ColoredGraph, eps) -> Fraction:
+def genus_wrt(g: core.ColoredGraph, eps) -> int | Fraction:
     """Regular genus of g with respect to the cyclic permutation eps."""
     return genus_of_sequence(g, eps)
 
 
-def subgenus(g: core.ColoredGraph, eps, i: int) -> Fraction:
+def subgenus(g: core.ColoredGraph, eps, i: int) -> int | Fraction:
     """Genus of the residue(s) missing color eps[i], w.r.t. the induced order.
 
     When several residues exist (non-contracted input) the value is the sum
@@ -140,7 +153,7 @@ def subgenus(g: core.ColoredGraph, eps, i: int) -> Fraction:
     perm = as_permutation(g, eps)
     if not 0 <= i < perm.n_colors:
         raise StructuralError("subgenus position out of range")
-    return sum(residue_genera(g, perm.delete(i)), Fraction(0))
+    return _total(residue_genera(g, perm.delete(i)))
 
 
 @dataclass(frozen=True)
@@ -156,7 +169,7 @@ class GenusReport:
 
     orientable: bool
     rho: MappingProxyType
-    regular_genus: Fraction
+    regular_genus: int | Fraction
     subgenera: MappingProxyType
     residues_connected: bool
     min_witnesses: tuple
@@ -173,7 +186,7 @@ class GenusReport:
         }
 
 
-def fraction_json(v: Fraction | int):
+def fraction_json(v: int | Fraction):
     """JSON rendering of exact genera: int when integral, 'a/b' otherwise."""
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
@@ -184,8 +197,11 @@ def genus_all(g: core.ColoredGraph) -> GenusReport:
 
     A subgenus depends on the deleted color and the induced cyclic order
     only up to rotation and reversal, which many permutations share (15
-    distinct of 60 over five colors): each is read once.
+    distinct of 60 over five colors): each is read once.  A subgenus is
+    the genus of a residue over at least one color, so g needs two.
     """
+    if g.n_colors < 2:
+        raise StructuralError(f"subgenera need at least 2 colors, not {g.n_colors}")
     perms = all_cyclic_permutations(g.n_colors)
     rho = {e: genus_wrt(g, e) for e in perms}
     genera = {}  # induced cyclic order, in its cyclic form -> subgenus
@@ -193,7 +209,7 @@ def genus_all(g: core.ColoredGraph) -> GenusReport:
     def sub_of(seq):
         seq = _cyclic_form(seq)
         if seq not in genera:
-            genera[seq] = sum(residue_genera(g, seq), Fraction(0))
+            genera[seq] = _total(residue_genera(g, seq))
         return genera[seq]
 
     sub = {e: tuple(sub_of(e.delete(i)) for i in range(g.n_colors)) for e in perms}

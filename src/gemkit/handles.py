@@ -56,13 +56,19 @@ class HypothesisWitness:
         }
 
 
+# the complementary triple of each ordered pair of distinct colors 0-4
+_COMPLEMENTS = {pair: core.complement_key(pair, 5)
+                for pair in itertools.permutations(range(5), 2)}
+
+
 def pair_condition(g: core.ColoredGraph, a: int, b: int) -> bool:
     """Whether the 5-colored crystallization g has exactly one residue
     missing colors a and b: t = 0 at the complementary triple."""
     t = classification.t_values(g)
-    if a == b or not {a, b} <= set(range(5)):
+    triple = _COMPLEMENTS.get((a, b))
+    if triple is None:
         raise StructuralError(f"a pair of distinct colors 0-4 is needed, got {a}, {b}")
-    return t[core.complement_key((a, b), 5)] == 0
+    return t[triple] == 0
 
 
 def _check_witness(g: core.ColoredGraph, w: HypothesisWitness) -> None:

@@ -54,7 +54,7 @@ class ManifoldClass:
     dimension: int
     singular_colors: tuple[int, ...]
     conditional: bool
-    surface_genus: Fraction | None = None
+    surface_genus: int | Fraction | None = None
     orientable: bool | None = None
     certificates: tuple = ()
 
@@ -93,7 +93,7 @@ def classify_surface(g: core.ColoredGraph):
     return genus.genus_wrt(g, eps), core.is_bipartite(g)
 
 
-def _surface_certificate(rho: Fraction) -> SphereCertificate:
+def _surface_certificate(rho: int | Fraction) -> SphereCertificate:
     """Sphere certificate of a surface of genus rho: a 2-sphere exactly when
     rho is 0."""
     if rho == 0:

@@ -1,9 +1,13 @@
+import hashlib
 import itertools
 import json
 import math
 import os
+import random
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -253,6 +257,47 @@ def test_killed_run_resumes_from_meta_alone(tmp_path, monkeypatch):
     fresh.parent.mkdir()
     catalogue.generate_catalogue(fresh, n_colors=4, max_order=6, jobs=1)
     assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_sigkilled_generate_leaves_no_worker_and_resumes_to_the_same_file(tmp_path):
+    # a real SIGKILL to the parent of a pool of two, at a seeded instant
+    # after its first shard is checkpointed; the workers must exit on their
+    # own, and the resumed file must be the uninterrupted one
+    paths = [str(Path(catalogue.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out, meta = tmp_path / "cat.jsonl", tmp_path / "cat.jsonl.meta"
+    argv = [sys.executable, "-m", "gemkit.cli", "generate", "--colors", "5",
+            "--max-order", "10", "--filters", "crystallization", "--jobs", "2",
+            "--out", str(out)]
+    proc = subprocess.Popen(argv, env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not meta.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(random.Random(27).uniform(0, 0.5))
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
+        done = json.loads(meta.read_text())["shards"]
+        assert 0 < len(done) < len(catalogue.shard_keys(10)), "killed outside the shard phase"
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a pool worker outlived its parent"
+            time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert not out.exists()
+    subprocess.run(argv + ["--resume", str(meta)], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "98555c07bcf2c5355155a3d4eacca8ddddfb4303aef4a26810576315cd75bb03"
 
 
 def test_failed_write_leaves_existing_catalogue_unchanged(tmp_path, monkeypatch):

@@ -70,6 +70,19 @@ def test_genus_refuses_a_permutation_of_other_colors(capsys, gem_file, permutati
     assert json.loads(err)["error"]["type"] == "structural-error"
 
 
+def test_genus_refuses_a_one_colored_gem_by_its_color_count(capsys, tmp_path):
+    one, two = tmp_path / "one.gem", tmp_path / "two.gem"
+    one.write_text("gem 1 2\n1 0\n")
+    two.write_text("gem 2 2\n1 0\n1 0\n")
+    code, out, err = run(capsys, "--json", "genus", str(one))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"type": "structural-error",
+                                        "message": "subgenera need at least 2 colors, not 1"}
+    code, out, err = run(capsys, "--json", "genus", str(two))
+    assert code == 0 and err == ""
+    assert json.loads(out)["genus"]["subgenera"] == {"(0,1)": [0, 0]}
+
+
 def test_classify_cp2(capsys, gem_file):
     path = gem_file(fixtures.cp2(), "cp2.gem")
     code, out, _ = run(capsys, "--json", "classify", path)

@@ -31,9 +31,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # The oracle: one standalone gem per residue
 # ---------------------------------------------------------------------------
 
-def oracle_genus(g: core.ColoredGraph, seq) -> Fraction:
+def oracle_genus(g: core.ColoredGraph, seq) -> int | Fraction:
     """rho of the connected g w.r.t. the cyclic sequence ``seq``, from the
-    whole gem's bicolored-cycle counts."""
+    whole gem's bicolored-cycle counts: an int when integral, as
+    `genus` gives it."""
     core.require_connected(g)
     k = len(seq)
     total = sum(core.residue_count(g, (seq[i], seq[(i + 1) % k])) for i in range(k))
@@ -42,16 +43,16 @@ def oracle_genus(g: core.ColoredGraph, seq) -> Fraction:
         raise StructuralError(f"negative genus {rho}: input is not a gem")
     if core.is_bipartite(g) and rho.denominator != 1:
         raise InternalConsistencyError(f"bipartite graph with half-integral genus {rho}")
-    return rho
+    return int(rho) if rho.denominator == 1 else rho
 
 
-def oracle_subgenus(g: core.ColoredGraph, eps, i: int) -> Fraction:
+def oracle_subgenus(g: core.ColoredGraph, eps, i: int) -> int | Fraction:
     sub_seq = genus.as_permutation(g, eps).delete(i)
-    total = Fraction(0)
+    total = 0
     for res in core.extract_residues(g, sub_seq):
         pos = {c: idx for idx, c in enumerate(res.key)}
         total += oracle_genus(res.graph, tuple(pos[c] for c in sub_seq))
-    return total
+    return int(total) if total.denominator == 1 else total
 
 
 def oracle_genus_report(g: core.ColoredGraph) -> genus.GenusReport:
@@ -230,6 +231,32 @@ def test_fixtures_and_their_doubles_match_the_oracle(small_manifold_corpus):
     gems += [double(h) for h in small_manifold_corpus if h.n_colors == 4][::7]
     for g in gems:
         assert_matches_oracle(g)
+
+
+def test_genera_are_ints_when_integral():
+    gems = [g for seed in range(20) for g in oracle_inputs(seed)] + list(FIXTURES_5)
+    gems += [fixtures.rp3(), fixtures.torus(), fixtures.projective_plane()]
+    kinds, connected = set(), set()
+    for g in gems:
+        report = genus.genus_all(g)
+        connected.add(report.residues_connected)
+        values = [report.regular_genus, *report.rho.values()]
+        for eps in genus.all_cyclic_permutations(g.n_colors):
+            values += report.subgenera[eps]
+            values += genus.residue_genera(g, eps.seq)
+            for i in range(g.n_colors):
+                values.append(genus.subgenus(g, eps, i))
+                values += genus.residue_genera(g, eps.delete(i))
+        for triple in itertools.combinations(range(g.n_colors), 3):
+            values += genus.residue_genera(g, triple)
+        for v in values:
+            # an int when integral, else a half-integral Fraction
+            assert type(v) is (int if v.denominator == 1 else Fraction), repr(v)
+            assert v.denominator in (1, 2), repr(v)
+            kinds.add(type(v))
+    assert kinds == {int, Fraction}
+    # residue_genera's one-residue branch and its tally over several residues
+    assert connected == {True, False}
 
 
 def six_colored_inputs(seed: int) -> list[core.ColoredGraph]:
