@@ -16,7 +16,7 @@ from .core import (COLOR_PRESERVING, UP_TO_COLOR_PERMUTATION, ColoredGraph,
 from .errors import (AnalysisRefused, GemFormatError, GemkitError,
                      InternalConsistencyError, StructuralError)
 from .genus import (CyclicPermutation, GenusReport, all_cyclic_permutations,
-                    genus_all, genus_wrt, subgenus)
+                    genus_all, genus_of_sequence, subgenus)
 from .invariants import (HomologyReport, Pi1Certificate, Presentation,
                          beta2_via_genus, euler_characteristic,
                          euler_via_genus, h1_via_edge_path, homology,

@@ -309,12 +309,13 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     set of generators met.  What ``_check_run`` refuses up to order p is
     refused, and so is an index that names no partition of p/2.
 
-    The nondecreasing matching tuples are walked as a tree carrying, per
-    potential deleted color, the vertex partition of the matchings chosen
-    so far; only these DFS states are memoized, and in crystallization
-    runs (some filter keeps only crystallizations) a leaf dies as soon as
-    the partition missing only the last color is disconnected.  In manifold
-    and crystallization runs over k >= 4 colors each color triple's
+    The nondecreasing matching tuples are walked as a tree carrying the
+    vertex partition of the matchings chosen so far, ``whole``, and per
+    chosen color the partition of the others, ``hats``; only these DFS
+    states are memoized, and in crystallization runs (some filter keeps
+    only crystallizations) a leaf dies as soon as ``whole``, which misses
+    only the last color there, is disconnected.  In manifold and
+    crystallization runs over k >= 4 colors each color triple's
     sphere condition is tested at the depth that chooses its last color,
     and a branch dies once its count of unclean triples exceeds what the
     filter allows; the leaf tests only the triples holding the last color.
@@ -379,7 +380,6 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     l0 = merge(ident, 0)[0]
     l1 = merge(ident, 1)[0]
     l01 = merge(l0, 1)[0]
-    init_states = tuple(l1 if h == 0 else (l0 if h == 1 else l01) for h in range(k))
     # Sphere prune mirroring the dimension-specific manifold demands: a
     # 3-colored residue is a union of spheres iff its cycle counts satisfy
     # g_ab + g_bc + g_ca - p/2 == 2 * g_abc, the pair counts read off
@@ -463,10 +463,10 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
                                                          if mask >> j & 1])
         return least
 
-    def dfs(depth: int, states: tuple, start: int, unclean: int, fixmask: int):
+    def dfs(depth: int, hats: tuple, whole: tuple, start: int, unclean: int, fixmask: int):
         last = depth == k - 1
-        # states[k-1] is final here: labels are dense, so max+1 is its count
-        if last and crys and max(states[k - 1]) != 0:
+        # labels are dense, so max+1 is whole's count
+        if last and crys and max(whole) != 0:
             return
         least = least_under(fixmask)
         for idx in range(start, len(pool)):
@@ -476,10 +476,9 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
             if (least[idx] < idx or (depth > 2 and least_in_h[idx] < mids[2] - 1)
                     or not ranks_in_shard(mid)):
                 continue
-            # a leaf is connected (states[k-1] holds every color chosen), and
-            # in crystallization runs so is each of its hat-residues
-            if last and any(merge(states[h], mid)[1] != 1
-                            for h in (range(k - 1) if crys else (k - 1,))):
+            # a leaf is connected, and in crystallization runs so is each of
+            # its hat-residues
+            if last and any(merge(s, mid)[1] != 1 for s in (hats if crys else (whole,))):
                 continue
             mids.append(mid)
             now = unclean if allowance is None else add_unclean(unclean)
@@ -487,12 +486,11 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
                 if last:
                     survivor()
                 else:
-                    new_states = tuple(states[h] if h == depth else merge(states[h], mid)[0]
-                                       for h in range(k))
-                    dfs(depth + 1, new_states, idx, now, fixmask & fixed_by(idx))
+                    dfs(depth + 1, tuple(merge(s, mid)[0] for s in hats) + (whole,),
+                        merge(whole, mid)[0], idx, now, fixmask & fixed_by(idx))
             mids.pop()
 
-    dfs(2, init_states, 0, 0, full)
+    dfs(2, (l1, l0), l01, 0, 0, full)
     return sorted(codes)
 
 
@@ -659,10 +657,6 @@ def read_catalogue(path) -> list[CatalogueRecord]:
 # Corpus verification
 # ---------------------------------------------------------------------------
 
-class _Skip(Exception):
-    """Raised by a check that does not apply to the record."""
-
-
 def _check_code(g, rec):
     if core.canonical_code(g).hex() != rec.code:
         raise InternalConsistencyError("re-canonicalization changed the code")
@@ -696,20 +690,16 @@ def _check_residuals(g, rec):
 
 def _check_subgenus_target(g, rec):
     lower = [c for c in range(5) if c != recognition.top_color(g)]
-    hit = False
-    for j, k in itertools.combinations(lower, 2):
-        for s in (lower if handles.pair_condition(g, j, k) else ()):
-            if s not in (j, k):
-                handles.subgenus_target(g, j, k, s)
-                hit = True
-    if not hit:
-        raise _Skip
+    pinned = [(j, k, s) for j, k in itertools.combinations(lower, 2)
+              if handles.pair_condition(g, j, k) for s in lower if s not in (j, k)]
+    for j, k, s in pinned:
+        handles.subgenus_target(g, j, k, s)
+    return bool(pinned)
 
 
 def _check_collapse(g, rec):
     # the report runs every witness's profile and collapse identities
-    if not handles.handles_report(g).witnesses:
-        raise _Skip
+    return bool(handles.handles_report(g).witnesses)
 
 
 def _check_sibling(g, rec):
@@ -724,8 +714,8 @@ def _check_sibling(g, rec):
 
 
 # Every check of verify, in report order: its rung (see ``_GATES``) and its
-# test of the decoded graph and the record, which raises _Skip where the
-# check does not apply.
+# test of the decoded graph and the record.  A test returns False where the
+# check does not apply, and otherwise None or a report, never False.
 _VERIFY = MappingProxyType({
     "decode-recode": (0, _check_code),
     "bipartite-flag": (0, _check_bipartite),
@@ -771,10 +761,8 @@ def verify_record(rec: CatalogueRecord) -> dict[str, str]:
             out[name] = above
             continue
         try:
-            check(g, rec)
-            out[name] = "pass"
-        except _Skip:
-            pass
+            if check(g, rec) is not False:
+                out[name] = "pass"
         except Exception as exc:  # noqa: BLE001 - verification must report, not die
             out[name] = f"fail: {exc}"
     return out

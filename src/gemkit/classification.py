@@ -177,7 +177,7 @@ class ClassificationReport:
 
     def to_json(self) -> dict:
         return {
-            "t": {"(" + ",".join(map(str, k)) + ")": v for k, v in self.t.items()},
+            "t": {genus.sequence_text(k): v for k, v in self.t.items()},
             "simple": self.simple,
             "weak_simple_witnesses": [str(e) for e in self.weak_simple_witnesses],
             "bounds": self.bounds.to_json(),

@@ -85,7 +85,7 @@ def cmd_genus(args) -> dict:
     if args.permutation is not None:
         eps = genus.as_permutation(g, _parse_permutation(args.permutation))
         section["requested"] = {
-            str(eps): genus.fraction_json(genus.genus_wrt(g, eps))}
+            str(eps): genus.fraction_json(genus.genus_of_sequence(g, eps))}
     report["genus"] = section
     return report
 

@@ -262,7 +262,10 @@ def residue_count(g: ColoredGraph, key) -> int:
 
 
 def hat_residue_counts(g: ColoredGraph) -> dict[int, int]:
-    """Color c -> number of residues missing only c."""
+    """Color c -> number of residues missing only c; g needs two colors,
+    since a residue is over at least one."""
+    if g.n_colors < 2:
+        raise StructuralError(f"hat-residues need at least 2 colors, not {g.n_colors}")
     return {c: residue_count(g, complement_key((c,), g.n_colors)) for c in g.colors}
 
 

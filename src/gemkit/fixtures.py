@@ -14,8 +14,6 @@ from .core import ColoredGraph
 def sigma(n_colors: int) -> ColoredGraph:
     """The order-2 gem on n_colors colors: two vertices joined by every
     color.  Represents the sphere of dimension n_colors - 1."""
-    if n_colors < 1:
-        raise ValueError("need at least one color")
     return ColoredGraph(((1, 0),) * n_colors)
 
 

@@ -35,6 +35,11 @@ def _cyclic_form(seq: tuple[int, ...]) -> tuple[int, ...]:
     return min(rot, rot[-2::-1] + rot[-1:])
 
 
+def sequence_text(seq) -> str:
+    """The text form of a color sequence, ``(0,1,2)``: the one writer of it."""
+    return "(" + ",".join(map(str, seq)) + ")"
+
+
 @dataclass(frozen=True)
 class CyclicPermutation:
     """Cyclic ordering of the color set, stored in its ``_cyclic_form``."""
@@ -59,7 +64,7 @@ class CyclicPermutation:
         return self.seq[i + 1:] + self.seq[:i]
 
     def __str__(self):
-        return "(" + ",".join(str(c) for c in self.seq) + ")"
+        return sequence_text(self.seq)
 
 
 def cyclic_permutations(n_colors: int) -> Iterator[CyclicPermutation]:
@@ -139,11 +144,6 @@ def genus_of_sequence(g: core.ColoredGraph, seq) -> int | Fraction:
     return residue_genera(g, seq)[0]
 
 
-def genus_wrt(g: core.ColoredGraph, eps) -> int | Fraction:
-    """Regular genus of g with respect to the cyclic permutation eps."""
-    return genus_of_sequence(g, eps)
-
-
 def subgenus(g: core.ColoredGraph, eps, i: int) -> int | Fraction:
     """Genus of the residue(s) missing color eps[i], w.r.t. the induced order.
 
@@ -202,8 +202,9 @@ def genus_all(g: core.ColoredGraph) -> GenusReport:
     """
     if g.n_colors < 2:
         raise StructuralError(f"subgenera need at least 2 colors, not {g.n_colors}")
+    core.require_connected(g)
     perms = all_cyclic_permutations(g.n_colors)
-    rho = {e: genus_wrt(g, e) for e in perms}
+    rho = {e: residue_genera(g, e.seq)[0] for e in perms}
     genera = {}  # induced cyclic order, in its cyclic form -> subgenus
 
     def sub_of(seq):

@@ -52,7 +52,7 @@ class HypothesisWitness:
             "pivot": self.pivot,
             "free_pair": list(self.free_pair),
             "boundary_case": self.boundary_case,
-            "permutation": "(" + ",".join(map(str, self.permutation)) + ")",
+            "permutation": genus.sequence_text(self.permutation),
         }
 
 
@@ -192,7 +192,7 @@ def subgenus_target(g: core.ColoredGraph, j: int, k: int, s: int):
     if value != beta2 + defect:
         raise InternalConsistencyError(
             f"subgenus {value} != beta2 + t = {beta2} + {defect} at {eps}")
-    return int(value), eps
+    return value, eps
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ class CollapseTrace:
 
     def to_json(self) -> dict:
         return {
-            "permutation": "(" + ",".join(map(str, self.permutation)) + ")",
+            "permutation": genus.sequence_text(self.permutation),
             "initial_triangles": self.initial_triangles,
             "initial_edges": self.initial_edges,
             "collapsed": len(self.schedule),
@@ -242,9 +242,8 @@ def collapse_2skeleton(g: core.ColoredGraph, w: HypothesisWitness) -> CollapseTr
 
     eps = genus.CyclicPermutation.canonical(w.permutation)
     rho = genus.genus_all(g).subgenera[eps][eps.seq.index(e0)]
-    if rho.denominator != 1:
+    if not isinstance(rho, int):
         raise InternalConsistencyError(f"half-integral subgenus {rho} in collapse")
-    rho = int(rho)
     if tri_count != edge_count + rho:
         raise InternalConsistencyError(
             f"triangle/edge counts {tri_count}/{edge_count} do not split as "

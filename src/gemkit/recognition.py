@@ -90,7 +90,7 @@ def classify_surface(g: core.ColoredGraph):
     if g.n_colors != 3:
         raise StructuralError("classify_surface needs a 3-colored graph")
     eps = genus.all_cyclic_permutations(3)[0]
-    return genus.genus_wrt(g, eps), core.is_bipartite(g)
+    return genus.genus_of_sequence(g, eps), core.is_bipartite(g)
 
 
 def _surface_certificate(rho: int | Fraction) -> SphereCertificate:
@@ -120,11 +120,11 @@ def _genus_zero_orders(g: core.ColoredGraph, key) -> list:
 def sphere_certificate(g: core.ColoredGraph) -> SphereCertificate:
     """Try to decide whether a connected k-colored gem represents a sphere.
 
-    Trivial in low dimensions; from 4 colors on, g is certified as its own
-    single residue by ``_hat_certificates``: a genus-zero order, else the
-    closed-manifold check (a singular or non-manifold complex is certainly
-    not a sphere), then dipole reduction, which may reach order 2 or a
-    genus-zero order; nontrivial H1 as an obstruction; else unknown.
+    Trivial in low dimensions; from 3 colors on, g is certified as its own
+    single residue by ``_hat_certificates``: a surface by its genus, else a
+    genus-zero order, the closed-manifold check (a singular or non-manifold
+    complex is certainly not a sphere), then dipole reduction, which may
+    reach order 2 or a genus-zero order; nontrivial H1 obstructs; else unknown.
     """
     core.require_connected(g)
     k = g.n_colors
@@ -132,8 +132,6 @@ def sphere_certificate(g: core.ColoredGraph) -> SphereCertificate:
         return SphereCertificate(CERTIFIED_SPHERE, "dipole-reduction-to-order-2")
     if k == 2:
         return SphereCertificate(CERTIFIED_SPHERE, "genus-zero")
-    if k == 3:
-        return _surface_certificate(classify_surface(g)[0])
     certs = _hat_certificates(g, tuple(g.colors))
     if certs is None:
         return SphereCertificate(
@@ -253,9 +251,9 @@ def require_crystallization(g: core.ColoredGraph) -> None:
     """Refuse anything but a 5-colored crystallization, the class the genus
     identities, the classification and the handle analysis are stated for."""
     if not (g.n_colors == 5 and is_crystallization(g)):
-        raise StructuralError(
-            f"not a 5-colored crystallization ({g.n_colors} colors, "
-            f"hat-residue counts {core.hat_residue_counts(g)})")
+        # a 1-colored gem has no hat-residues to count
+        counts = f", hat-residue counts {core.hat_residue_counts(g)}" if g.n_colors > 1 else ""
+        raise StructuralError(f"not a 5-colored crystallization ({g.n_colors} colors{counts})")
 
 
 def singular_colors(g: core.ColoredGraph) -> tuple[int, ...]:

@@ -83,6 +83,21 @@ def test_genus_refuses_a_one_colored_gem_by_its_color_count(capsys, tmp_path):
     assert json.loads(out)["genus"]["subgenera"] == {"(0,1)": [0, 0]}
 
 
+@pytest.mark.parametrize("command, message", [
+    ("info", "hat-residues need at least 2 colors, not 1"),
+    ("classify", "not a 5-colored crystallization (1 colors)"),
+    ("handles", "not a 5-colored crystallization (1 colors)"),
+])
+def test_analyses_refuse_a_one_colored_gem_by_its_color_count(capsys, tmp_path,
+                                                             command, message):
+    # no refusal names the residue over no colors
+    one = tmp_path / "one.gem"
+    one.write_text("gem 1 2\n1 0\n")
+    code, out, err = run(capsys, command, str(one))
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": {"message": message, "type": "structural-error"}}) + "\n"
+
+
 def test_classify_cp2(capsys, gem_file):
     path = gem_file(fixtures.cp2(), "cp2.gem")
     code, out, _ = run(capsys, "--json", "classify", path)

@@ -34,6 +34,11 @@ def test_order_two_is_legal():
     assert g.order == 2 and g.n_colors == 5
 
 
+def test_sigma_of_no_colors_is_refused_by_the_graph_itself():
+    with pytest.raises(StructuralError, match="at least one color"):
+        fixtures.sigma(0)
+
+
 def test_equal_graphs_share_hash_and_memo_entry():
     g1 = random_relabel(core.connected_sum(fixtures.cp2(), fixtures.rp3_boundary()),
                         random.Random(41))

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from gemkit import core, fixtures, genus
-from gemkit.errors import StructuralError
+from gemkit import classification, core, fixtures, genus, handles
+from gemkit.errors import AnalysisRefused, StructuralError
 
 from conftest import chi_by_counting, naive_connected_gems, random_relabel
 
@@ -14,6 +14,40 @@ def test_canonical_permutation_class_counts():
     assert len(genus.all_cyclic_permutations(3)) == 1
     assert len(genus.all_cyclic_permutations(4)) == 3
     assert len(genus.all_cyclic_permutations(5)) == 12
+
+
+def inline_sequence_text(seq):
+    """Oracle: the text that the reports wrote inline for a color sequence
+    before ``genus.sequence_text`` became its one writer."""
+    return "(" + ",".join(str(c) for c in seq) + ")"
+
+
+def test_sequence_text_of_every_five_color_order():
+    orders = genus.all_cyclic_permutations(5)
+    assert len(orders) == 12 and str(orders[0]) == "(0,1,2,3,4)"
+    for eps in orders:
+        assert str(eps) == genus.sequence_text(eps.seq) == inline_sequence_text(eps.seq)
+
+
+def test_sequence_text_of_every_report_order_of_the_order_8_corpus(
+        crystallization_corpus_order8):
+    orders = t_keys = 0
+    for g in crystallization_corpus_order8:
+        try:
+            report = handles.handles_report(g)
+            classified = classification.classification_report(g)
+        except AnalysisRefused:
+            continue
+        out = report.to_json()
+        for items, rows in ((report.witnesses, out["witnesses"]),
+                            (report.collapses, out["collapses"])):
+            for item, row in zip(items, rows, strict=True):
+                assert row["permutation"] == inline_sequence_text(item.permutation)
+                orders += 1
+        keys = list(classified.to_json()["t"])
+        assert keys == [inline_sequence_text(k) for k in classified.t]
+        t_keys += len(keys)
+    assert orders and t_keys
 
 
 def test_cyclic_permutations_stream_the_canonical_orders_in_order():
@@ -36,7 +70,7 @@ def test_sigma_graphs_have_genus_zero():
     for k in (3, 4, 5, 6):
         g = fixtures.sigma(k)
         for eps in genus.all_cyclic_permutations(k):
-            assert genus.genus_wrt(g, eps) == 0
+            assert genus.genus_of_sequence(g, eps) == 0
 
 
 def test_torus_gem_derived_by_enumeration():
@@ -50,9 +84,9 @@ def test_torus_gem_derived_by_enumeration():
         if found:
             break
     assert found is not None and found.order == 6
-    assert genus.genus_wrt(found, genus.all_cyclic_permutations(3)[0]) == 1
-    assert genus.genus_wrt(fixtures.torus(),
-                           genus.all_cyclic_permutations(3)[0]) == 1
+    assert genus.genus_of_sequence(found, genus.all_cyclic_permutations(3)[0]) == 1
+    assert genus.genus_of_sequence(fixtures.torus(),
+                                   genus.all_cyclic_permutations(3)[0]) == 1
 
 
 def test_genus_equals_inverse_permutation_genus():
@@ -61,7 +95,7 @@ def test_genus_equals_inverse_permutation_genus():
     for g in gems:
         for eps in genus.all_cyclic_permutations(5):
             rev = genus.CyclicPermutation.canonical(tuple(reversed(eps.seq)))
-            assert genus.genus_wrt(g, eps) == genus.genus_wrt(g, rev)
+            assert genus.genus_of_sequence(g, eps) == genus.genus_of_sequence(g, rev)
         # raw (non-canonical) sequences agree with their reversals too
         for _ in range(20):
             seq = list(range(5))
@@ -72,7 +106,7 @@ def test_genus_equals_inverse_permutation_genus():
 
 def test_bipartite_genus_is_integral_on_enumerated_gems():
     for g in naive_connected_gems(3, 6):
-        rho = genus.genus_wrt(g, genus.all_cyclic_permutations(3)[0])
+        rho = genus.genus_of_sequence(g, genus.all_cyclic_permutations(3)[0])
         assert rho >= 0
         if core.is_bipartite(g):
             assert rho.denominator == 1
@@ -82,8 +116,8 @@ def test_bipartite_genus_is_integral_on_enumerated_gems():
 
 def test_genus_requires_connected():
     with pytest.raises(StructuralError):
-        genus.genus_wrt(core.disjoint_union(fixtures.sigma(3), fixtures.sigma(3)),
-                        genus.all_cyclic_permutations(3)[0])
+        genus.genus_of_sequence(core.disjoint_union(fixtures.sigma(3), fixtures.sigma(3)),
+                                genus.all_cyclic_permutations(3)[0])
 
 
 def test_genus_all_sigma5():

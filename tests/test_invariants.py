@@ -239,8 +239,8 @@ def test_default_singular_pair_holds_both_singular_colors():
 
 @pytest.mark.parametrize("analysis", [
     classification.genus_subgenus_residuals,
-    genus.genus_wrt,
-], ids=["genus_subgenus_residuals", "genus_wrt"])
+    genus.genus_of_sequence,
+], ids=["genus_subgenus_residuals", "genus_of_sequence"])
 def test_cyclic_order_of_wrong_length_is_refused(analysis):
     with pytest.raises(StructuralError, match="permutation"):
         analysis(fixtures.cp2(), (0, 1, 2))

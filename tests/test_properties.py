@@ -116,7 +116,7 @@ ANALYSES = ("info", "genus", "classify", "homology", "handles", "reduce")
 SMALL_FIXTURES = (fixtures.sigma(5), fixtures.sigma(3), fixtures.torus(),
                   fixtures.projective_plane(), fixtures.rp3(), fixtures.cp2(),
                   fixtures.rp3_boundary(), fixtures.nonsimply_connected(),
-                  fixtures.torus_times_colors())
+                  fixtures.torus_times_colors(), fixtures.sigma(1))
 
 
 @st.composite
@@ -129,7 +129,8 @@ def small_gem_texts(draw):
         return draw(gem_texts())
     if kind == "fixture":
         g = draw(st.sampled_from(SMALL_FIXTURES))
-        if g.order <= 10 and draw(st.booleans()):
+        # a dipole needs a proper nonempty color set: none on one color
+        if g.order <= 10 and g.n_colors > 1 and draw(st.booleans()):
             colors = draw(st.sets(st.integers(0, g.n_colors - 1), min_size=1,
                                   max_size=g.n_colors - 1))
             g = core.add_dipole(g, draw(st.integers(0, g.order - 1)), colors)
@@ -161,3 +162,6 @@ def test_analysis_exit_code_and_diagnostic(tmp_path_factory, text):
             diagnostic = json.loads(err.getvalue())["error"]
             # a traceback caught by the last-resort handler is a bug, not an answer
             assert diagnostic["type"] != "unexpected-error", (cmd, text, diagnostic)
+            # nor is a refusal that names an internal key instead of the input's fault
+            assert "residue key must be a nonempty color set" not in diagnostic["message"], \
+                (cmd, text, diagnostic)

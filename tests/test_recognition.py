@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gemkit import core, fixtures, handles, recognition
+from gemkit import catalogue, core, fixtures, handles, recognition
 from gemkit.errors import StructuralError
 
 from conftest import naive_connected_gems, random_augment, random_relabel
@@ -38,6 +38,26 @@ def test_classify_surface_euler_consistency():
 def test_classify_surface_wrong_colors():
     with pytest.raises(StructuralError):
         recognition.classify_surface(fixtures.sigma(4))
+
+
+def surface_route_certificate(g):
+    """Oracle: a 3-colored gem's sphere certificate read off its surface
+    classification, the route ``sphere_certificate`` took for surfaces
+    before the residue path of ``_hat_certificates`` became the only one."""
+    return recognition._surface_certificate(recognition.classify_surface(g)[0])
+
+
+def test_surface_sphere_certificate_matches_the_surface_classification():
+    rng = random.Random(28)
+    named = [fixtures.torus(), fixtures.projective_plane(), fixtures.sigma(3)]
+    gems = [core.decode_code(r.code) for r in catalogue.enumerate_gems(3, 8)] + named
+    gems += [random_augment(g, rng, rng.randint(1, 4)) for g in named for _ in range(4)]
+    statuses = set()
+    for g in gems:
+        cert = recognition.sphere_certificate(g)
+        assert repr(cert) == repr(surface_route_certificate(g)), core.canonical_code(g).hex()
+        statuses.add(cert.status)
+    assert statuses == {recognition.CERTIFIED_SPHERE, recognition.CERTIFIED_NONSPHERE}
 
 
 def test_check_closed_manifold_sigma5():

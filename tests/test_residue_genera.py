@@ -343,7 +343,7 @@ def test_manifold_check_builds_no_surface_gem(monkeypatch):
     assert hats
     for h in hats:
         assert h.n_colors == 4
-        assert all(genus.genus_wrt(h, eps) > 0 for eps in genus.all_cyclic_permutations(4))
+        assert all(genus.genus_of_sequence(h, eps) > 0 for eps in genus.all_cyclic_permutations(4))
 
 
 def test_manifold_check_of_sigma_walks_the_cyclic_orders_lazily():
