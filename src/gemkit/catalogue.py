@@ -26,8 +26,9 @@ so each isomorphism class lies in exactly one shard, and labellings that
 differ by a symmetry of colors 0 and 1 meet at most once.  Shards share
 nothing: workers run in parallel, and a single merger takes their union,
 sorts and writes.  Labellings of one class whose least-rank color pairs
-differ still meet within a shard, so duplicates there are removed by
-canonical code.
+differ still meet within a shard; a leaf goes on only when no other such
+pair has a key below colors 0 and 1's (the sorted ranks of each pair with
+the other colors), and the duplicates left are removed by canonical code.
 
 Filters are isomorphism-invariant, so they commute with deduplication; the
 cheap ones run on raw matchings before any code is computed.
@@ -163,15 +164,26 @@ def _conjugate(m: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(img)
 
 
+def _generator_images(pool: list[tuple[int, ...]], gens) -> list[list[int]]:
+    """Per generator of ``gens``, which maps the sorted ``pool`` onto itself,
+    the pool index of each pool matching's image under it."""
+    index = {m: i for i, m in enumerate(pool)}
+    return [[index[_conjugate(m, h)] for m in pool] for h in gens]
+
+
+def _least_in_orbits(size: int, images) -> list[int]:
+    """For each of ``size`` indices, the least index of its orbit under the
+    maps ``images``, each a row of image indices."""
+    labels, _ = core.join_classes(range(size), [(i, j) for row in images
+                                                for i, j in enumerate(row) if i != j])
+    least = core.residue_roots(labels)
+    return [least[label] for label in labels]
+
+
 def _orbit_minima(pool: list[tuple[int, ...]], gens) -> list[int]:
     """For each matching of the sorted ``pool``, which the group generated
     by ``gens`` maps onto itself, the index of the least member of its orbit."""
-    index = {m: i for i, m in enumerate(pool)}
-    labels, _ = core.join_classes(range(len(pool)),
-                                  [(i, index[_conjugate(m, h)])
-                                   for i, m in enumerate(pool) for h in gens])
-    least = core.residue_roots(labels)
-    return [least[label] for label in labels]
+    return _least_in_orbits(len(pool), _generator_images(pool, gens))
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +298,54 @@ def shard_keys(max_order: int) -> list[tuple[int, int]]:
     return keys
 
 
-def _triple_clean(p: int, g_ab: int, g_ac: int, g_bc: int, pairs) -> bool:
-    """Whether the residue of three matchings of 0..p-1 is a union of
-    spheres, given their pair cycle counts and the iterable of all their
-    ``pairs``: whether chi = g_ab + g_ac + g_bc - p/2 equals 2 * g_abc.  As
-    1 <= g_abc <= each pair count, an odd chi, or one below 2 or above twice
-    the least pair count, fails without joining the matchings."""
+class _Partitions:
+    """The vertex partitions of 0..p-1 that one shard meets, interned: each
+    gets a small int id, numbered as first seen (0 is the discrete
+    partition), and ``counts[state]`` is its number of classes.  ``merge``
+    memoizes the partition after joining one matching on the single int
+    ``state * width + mid``, so states shared by many branches, triples and
+    leaves are computed once and held once."""
+
+    __slots__ = ("pairs_of", "width", "labels", "counts", "ids", "memo")
+
+    def __init__(self, matchings: list[tuple[int, ...]]):
+        p = len(matchings[0])
+        self.pairs_of = [tuple((v, m[v]) for v in range(p) if v < m[v]) for m in matchings]
+        self.width = len(matchings)
+        discrete = tuple(range(p))
+        self.labels = [discrete]
+        self.counts = [p]
+        self.ids = {discrete: 0}
+        self.memo: dict[int, int] = {}
+
+    def merge(self, state: int, mid: int) -> int:
+        """The state after joining the classes of ``state`` along the
+        matching ``mid``."""
+        key = state * self.width + mid
+        nxt = self.memo.get(key)
+        if nxt is None:
+            labels, count = core.join_classes(self.labels[state], self.pairs_of[mid])
+            nxt = self.ids.get(labels)
+            if nxt is None:
+                nxt = self.ids[labels] = len(self.labels)
+                self.labels.append(labels)
+                self.counts.append(count)
+            self.memo[key] = nxt
+        return nxt
+
+
+def _triple_clean(p: int, g_ab: int, g_ac: int, g_bc: int, parts: _Partitions,
+                  a: int, b: int, c: int) -> bool:
+    """Whether the residue of the matchings ``a``, ``b``, ``c`` of ``parts``
+    is a union of spheres, given their pair cycle counts: whether
+    chi = g_ab + g_ac + g_bc - p/2 equals 2 * g_abc.  As 1 <= g_abc <= each
+    pair count, an odd chi, or one below 2 or above twice the least pair
+    count, fails without a merge; otherwise g_abc is read off the interned
+    partition of a, then b, then c, so triples share their pair states."""
     chi = g_ab + g_ac + g_bc - p // 2
     if chi % 2 or not 2 <= chi <= 2 * min(g_ab, g_ac, g_bc):
         return False
-    return chi == 2 * core.join_classes(range(p), pairs)[1]
+    return chi == 2 * parts.counts[parts.merge(parts.merge(parts.merge(0, a), b), c)]
 
 
 def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...]) -> list[str]:
@@ -306,19 +356,22 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     its pool (those that rank at least the shard with the standard
     matching), every pair of colors ranks at least the shard, and only
     labellings least under H are walked, H's orbit minima computed once per
-    set of generators met.  What ``_check_run`` refuses up to order p is
-    refused, and so is an index that names no partition of p/2.
+    set of generators met from one table of generator images.  What
+    ``_check_run`` refuses up to order p is refused, and so is an index that
+    names no partition of p/2.
 
     The nondecreasing matching tuples are walked as a tree carrying the
     vertex partition of the matchings chosen so far, ``whole``, and per
-    chosen color the partition of the others, ``hats``; only these DFS
-    states are memoized, and in crystallization runs (some filter keeps
-    only crystallizations) a leaf dies as soon as ``whole``, which misses
-    only the last color there, is disconnected.  In manifold and
-    crystallization runs over k >= 4 colors each color triple's
-    sphere condition is tested at the depth that chooses its last color,
-    and a branch dies once its count of unclean triples exceeds what the
-    filter allows; the leaf tests only the triples holding the last color.
+    chosen color the partition of the others, ``hats``, each an interned
+    ``_Partitions`` state; one memo on (state, matching) serves the nodes,
+    the leaves and the triple tests.  In crystallization runs (some filter
+    keeps only crystallizations) a leaf dies as soon as ``whole``, which
+    misses only the last color there, is disconnected.  In manifold and
+    crystallization runs over k >= 4 colors each color triple's sphere
+    condition is tested at the depth that chooses its last color, and a
+    branch dies once its count of unclean triples exceeds what the filter
+    allows; the leaf tests only the triples holding the last color, before
+    its connectivity, and then that colors 0 and 1 have the least pair key.
     The count never falls, so exactly the leaves that the same test at the
     leaf would pass reach the canonical code.  Each pair of matchings is
     walked and each triple tested once per shard, and each distinct code
@@ -348,20 +401,12 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     want_bipartite = "bipartite" in filters
 
     all_matchings = [pi0] + pool  # pi1 is mid 1; pool[idx] is mid idx + 1
-    pairs_of = [tuple((v, m[v]) for v in range(p) if v < m[v]) for m in all_matchings]
-    cache: dict[tuple, tuple] = {}
+    parts = _Partitions(all_matchings)
+    merge, counts = parts.merge, parts.counts
     # per earlier mid, one byte per mid: 0 unread, else 1 + the pair's rank
     # (fits a byte while p/2 <= 16, 231 partitions; past that bytearray
     # raises ValueError, never wraps).  Pairs with pi0 were read for the pool.
     ranked = {0: bytearray(1 + with_pi0[m] for m in all_matchings)}
-
-    def merge(labels: tuple, mid: int) -> tuple:
-        """Partition after adding one matching; memoized on (labels, mid)."""
-        key = (labels, mid)
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = core.join_classes(labels, pairs_of[mid])
-        return hit
 
     def ranks_in_shard(mid: int) -> bool:
         """Whether the matching ``mid`` ranks >= the shard with pi1 and with
@@ -376,26 +421,16 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
                 return False
         return True
 
-    ident = tuple(range(p))
-    l0 = merge(ident, 0)[0]
-    l1 = merge(ident, 1)[0]
-    l01 = merge(l0, 1)[0]
     # Sphere prune mirroring the dimension-specific manifold demands: a
     # 3-colored residue is a union of spheres iff its cycle counts satisfy
     # g_ab + g_bc + g_ca - p/2 == 2 * g_abc, the pair counts read off
-    # ranked (``_triple_clean`` joins the matchings only when those allow
+    # ranked (``_triple_clean`` merges the matchings only when those allow
     # it).  For k >= 5 every triple must be clean (exactly the
     # manifold-complex condition); for k == 4 crystallizations at most one
     # color may own non-sphere residues (one singular color); other
     # 4-colored runs and surfaces have no condition.
     allowance = (0 if (crys or "manifold" in filters) and k >= 5
                  else 1 if crys and k == 4 else None)
-
-    def triple_clean(a: int, b: int, c: int) -> bool:
-        """The sphere test of colors a, b, c, chosen in that order."""
-        return _triple_clean(p, cycles[ranked[a][b] - 1], cycles[ranked[a][c] - 1],
-                             cycles[ranked[b][c] - 1],
-                             itertools.chain(pairs_of[a], pairs_of[b], pairs_of[c]))
 
     # per (earlier mid, mid) of a triple, one byte per third mid: 0 not yet
     # tested, 1 clean, 2 unclean
@@ -410,18 +445,47 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
             if row is None:
                 row = clean[(a, b)] = bytearray(len(all_matchings))
             if not row[mc]:
-                row[mc] = 1 if triple_clean(a, b, mc) else 2
+                row[mc] = 1 if _triple_clean(p, cycles[ranked[a][b] - 1],
+                                             cycles[ranked[a][mc] - 1],
+                                             cycles[ranked[b][mc] - 1], parts, a, b, mc) else 2
             if row[mc] == 2:
                 unclean += 1
                 if unclean > allowance:
                     return None
         return unclean
 
+    # Least pair key: for colors i < j of a leaf, key(i, j) is the sorted
+    # tuple, over the other colors c, of the sorted (rank(i, c), rank(j, c)).
+    # A leaf is skipped when another pair of the shard's rank (the least any
+    # pair of the leaf has) has a key below key(0, 1).  Exact: ranks, and so
+    # keys, are isomorphism invariants.  Take a class of this shard and, of
+    # its least-rank pairs, one with the least key.  Every least-rank pair of
+    # a class is walked as colors 0 and 1 (the least H-image of a labelling
+    # with that pair as colors 0 and 1 at the shard key, the others sorted,
+    # passes every prune above, all of them invariant), and no other pair
+    # of that leaf has a smaller key: each class keeps a leaf.
+    pairs = list(itertools.combinations(range(k), 2))
+
+    def least_pair_key() -> bool:
+        """Whether no pair of the leaf's colors ranking the shard has a key
+        below colors 0 and 1's, the ranks read off ``ranked``."""
+        r = [[0] * k for _ in range(k)]  # 1 + each pair's rank
+        for i, j in pairs:
+            r[i][j] = r[j][i] = ranked[mids[i]][mids[j]]
+
+        def key(i, j):
+            return sorted(tuple(sorted((r[i][c], r[j][c]))) for c in range(k) if c not in (i, j))
+
+        ours = key(0, 1)
+        return all(key(i, j) >= ours for i, j in pairs[1:] if r[i][j] == shard_index + 1)
+
     codes: set[str] = set()
     seen: set[str] = set()
     mids: list[int] = [0, 1]  # indices into all_matchings of the colors chosen so far
 
     def survivor():
+        if not least_pair_key():
+            return
         rows = tuple(all_matchings[m] for m in mids)
         if want_bipartite and core.two_coloring(rows) is None:
             return
@@ -441,9 +505,9 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     # sorted h(t) would be below t, which is impossible; so t passes the
     # test at every depth, and each H-class keeps a leaf.  H preserves
     # ranks and connectivity, so nothing else changes.
-    gens = _stabilizer_generators(pi0, pi1)
-    full = (1 << len(gens)) - 1
-    minima = {full: _orbit_minima(pool, gens)}  # the pool's orbit minima, by mask
+    images = _generator_images(pool, _stabilizer_generators(pi0, pi1))
+    full = (1 << len(images)) - 1
+    minima = {full: _least_in_orbits(len(pool), images)}  # the pool's orbit minima, by mask
     least_in_h = minima[full]
     fixers: list[int | None] = [None] * len(pool)  # per matching, the mask fixing it
 
@@ -451,22 +515,20 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
         """The mask of the generators that map ``pool[idx]`` onto itself."""
         mask = fixers[idx]
         if mask is None:
-            m = pool[idx]
-            mask = fixers[idx] = sum(1 << j for j, h in enumerate(gens) if _conjugate(m, h) == m)
+            mask = fixers[idx] = sum(1 << j for j, row in enumerate(images) if row[idx] == idx)
         return mask
 
     def least_under(mask: int) -> list[int]:
         """The pool's orbit minima under the generators in ``mask``."""
         least = minima.get(mask)
         if least is None:
-            least = minima[mask] = _orbit_minima(pool, [h for j, h in enumerate(gens)
-                                                         if mask >> j & 1])
+            least = minima[mask] = _least_in_orbits(len(pool), [row for j, row in enumerate(images)
+                                                                 if mask >> j & 1])
         return least
 
-    def dfs(depth: int, hats: tuple, whole: tuple, start: int, unclean: int, fixmask: int):
+    def dfs(depth: int, hats: tuple, whole: int, start: int, unclean: int, fixmask: int):
         last = depth == k - 1
-        # labels are dense, so max+1 is whole's count
-        if last and crys and max(whole) != 0:
+        if last and crys and counts[whole] != 1:
             return
         least = least_under(fixmask)
         for idx in range(start, len(pool)):
@@ -476,21 +538,19 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
             if (least[idx] < idx or (depth > 2 and least_in_h[idx] < mids[2] - 1)
                     or not ranks_in_shard(mid)):
                 continue
-            # a leaf is connected, and in crystallization runs so is each of
-            # its hat-residues
-            if last and any(merge(s, mid)[1] != 1 for s in (hats if crys else (whole,))):
-                continue
             mids.append(mid)
             now = unclean if allowance is None else add_unclean(unclean)
             if now is not None:
-                if last:
+                if not last:
+                    dfs(depth + 1, tuple(merge(s, mid) for s in hats) + (whole,),
+                        merge(whole, mid), idx, now, fixmask & fixed_by(idx))
+                # a leaf is connected, and in crystallization runs so is each
+                # of its hat-residues
+                elif all(counts[merge(s, mid)] == 1 for s in (hats if crys else (whole,))):
                     survivor()
-                else:
-                    dfs(depth + 1, tuple(merge(s, mid)[0] for s in hats) + (whole,),
-                        merge(whole, mid)[0], idx, now, fixmask & fixed_by(idx))
             mids.pop()
 
-    dfs(2, (l1, l0), l01, 0, 0, full)
+    dfs(2, (merge(0, 1), merge(0, 0)), merge(merge(0, 0), 1), 0, 0, full)
     return sorted(codes)
 
 

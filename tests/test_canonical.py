@@ -123,7 +123,7 @@ def _order8_leaves():
     """The gems that reach ``canonical_code`` in the order <= 8 5-colored
     crystallization shards of the walk without the prune on the chosen
     colors, in the order they reach it: 538 labellings, where the library's
-    walk sends 217 of them."""
+    walk sends 145 of them."""
     leaves = []
     code = core.canonical_code
 

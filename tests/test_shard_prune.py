@@ -273,7 +273,7 @@ def test_pi1_filters_walk_only_crystallization_leaves(monkeypatch, filters):
         return calls[:], codes
 
     leaves, codes = walk(("crystallization", "simply-connected"))
-    assert len(leaves) == 11  # 25 without the prune on the chosen colors
+    assert len(leaves) == 9  # 25 without the prune on the chosen colors
     assert walk(filters) == (leaves, codes)
 
 
@@ -326,11 +326,28 @@ def test_run_shard_matches_parent_walk_on_shard_10_2():
 
 def test_prune_on_chosen_colors_cuts_the_order8_leaves():
     # the 5-colored crystallization shards through order 8 meet 40 codes;
-    # the leaves left over come from other least-rank color pairs, not from H
+    # the leaves left over come from other least-rank color pairs of the
+    # least key, not from H
     def count(walk):
         return sum(len(_both_walks(5, p, index, CRYS)[walk][1])
                    for p, index in catalogue.shard_keys(8))
-    assert (count(0), count(1)) == (217, 538)
+    assert (count(0), count(1)) == (145, 538)
+
+
+def _least_pair_key(matchings, p: int, index: int) -> bool:
+    """Whether no pair of ``matchings`` ranking ``index`` has a key below
+    colors 0 and 1's, where key(i, j) is the sorted tuple, over the other
+    colors c, of the sorted (rank(i, c), rank(j, c))."""
+    rank = catalogue._shard_of_partition(p)
+    k = len(matchings)
+    r = {(i, j): rank[cycle_partition_by_lists(matchings[i], matchings[j])]
+         for i in range(k) for j in range(k) if i != j}
+
+    def key(i, j):
+        return sorted(tuple(sorted((r[i, c], r[j, c]))) for c in range(k) if c not in (i, j))
+
+    return all(key(i, j) >= key(0, 1)
+               for i, j in itertools.combinations(range(k), 2) if r[i, j] == index)
 
 
 @pytest.mark.parametrize("k, shards, filters", [
@@ -340,10 +357,12 @@ def test_prune_on_chosen_colors_cuts_the_order8_leaves():
 ])
 def test_prune_keeps_every_h_class_of_leaves(k, shards, filters):
     # H by brute force, on the shards where it has at most 48 elements: the
-    # least H-image of each sorted leaf names its class
+    # least H-image of each sorted leaf names its class; the library keeps
+    # the classes of the parent's leaves whose colors 0 and 1 have the least
+    # pair key, a rule H leaves unchanged
     checked = 0
     for p, index in shards:
-        pi1 = layout_keys(p)[index]
+        pi0, pi1 = catalogue.standard_matching(p), layout_keys(p)[index]
         group = [h for h in _stabilizer(p) if _image(pi1, h) == pi1]
         if len(group) > 48:
             continue
@@ -352,8 +371,9 @@ def test_prune_keeps_every_h_class_of_leaves(k, shards, filters):
             return min(tuple(sorted(_image(m, h) for m in leaf)) for h in group)
 
         (_, leaves), (_, parent_leaves) = _both_walks(k, p, index, filters)
-        assert {h_class(leaf) for leaf in leaves} == {h_class(leaf) for leaf in parent_leaves}, \
-            (p, index)
+        assert {h_class(leaf) for leaf in leaves} == \
+            {h_class(leaf) for leaf in parent_leaves
+             if _least_pair_key((pi0, pi1) + leaf, p, index)}, (p, index)
         checked += 1
     assert checked
 
@@ -363,11 +383,13 @@ def test_triple_test_gives_the_join_only_answer(monkeypatch, k):
     answers = collections.Counter()
     triple_clean = catalogue._triple_clean
 
-    def check(p, g_ab, g_ac, g_bc, pairs):
-        pairs = tuple(pairs)
+    def check(p, g_ab, g_ac, g_bc, parts, a, b, c):
+        # the three matchings joined from scratch, not through the memo
+        pairs = parts.pairs_of[a] + parts.pairs_of[b] + parts.pairs_of[c]
         g_abc = core.join_classes(tuple(range(p)), pairs)[1]
         joined = g_ab + g_ac + g_bc - p // 2 == 2 * g_abc
-        assert triple_clean(p, g_ab, g_ac, g_bc, pairs) == joined, (p, g_ab, g_ac, g_bc, pairs)
+        assert triple_clean(p, g_ab, g_ac, g_bc, parts, a, b, c) == joined, \
+            (p, g_ab, g_ac, g_bc, pairs)
         answers[joined] += 1
         return joined
 
