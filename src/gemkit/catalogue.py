@@ -180,12 +180,6 @@ def _least_in_orbits(size: int, images) -> list[int]:
     return [least[label] for label in labels]
 
 
-def _orbit_minima(pool: list[tuple[int, ...]], gens) -> list[int]:
-    """For each matching of the sorted ``pool``, which the group generated
-    by ``gens`` maps onto itself, the index of the least member of its orbit."""
-    return _least_in_orbits(len(pool), _generator_images(pool, gens))
-
-
 # ---------------------------------------------------------------------------
 # Filters (isomorphism-invariant)
 # ---------------------------------------------------------------------------
@@ -384,8 +378,8 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
         raise StructuralError(f"order {p} has shards 0 to {len(rank) - 1}, not {shard_index}")
     pi0 = standard_matching(p)
     cycles = [len(part) for part in rank]  # the bicolored cycles of a pair, by its rank
-    with_pi0 = {m: rank[_cycle_partition(pi0, m)] for m in fpf_involutions(p)}
-    pool = [m for m, r in with_pi0.items() if r >= shard_index]
+    with_pi0 = [rank[_cycle_partition(pi0, m)] for m in fpf_involutions(p)]
+    pool = [m for m, r in zip(fpf_involutions(p), with_pi0) if r >= shard_index]
     # The key pi1 = pool[0] is L, the least layout of partition i: one block
     # per part, parts ascending, (0 1) for a part 1 and (0 2)(1 4)(3 6)...
     # (2l-3 2l-1) for a part l > 1.  L ranks i.  Let m be another matching of
@@ -400,13 +394,14 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     crys = any(FILTERS[f].crystallization for f in filters)
     want_bipartite = "bipartite" in filters
 
-    all_matchings = [pi0] + pool  # pi1 is mid 1; pool[idx] is mid idx + 1
-    parts = _Partitions(all_matchings)
+    matchings = pool + [pi0]  # a matching's id is its index here: pi1 is 0
+    pi0_id = len(pool)
+    parts = _Partitions(matchings)
     merge, counts = parts.merge, parts.counts
-    # per earlier mid, one byte per mid: 0 unread, else 1 + the pair's rank
+    # per earlier id, one byte per pool id: 0 unread, else 1 + the pair's rank
     # (fits a byte while p/2 <= 16, 231 partitions; past that bytearray
     # raises ValueError, never wraps).  Pairs with pi0 were read for the pool.
-    ranked = {0: bytearray(1 + with_pi0[m] for m in all_matchings)}
+    ranked = {pi0_id: bytearray(1 + r for r in with_pi0 if r >= shard_index)}
 
     def ranks_in_shard(mid: int) -> bool:
         """Whether the matching ``mid`` ranks >= the shard with pi1 and with
@@ -414,9 +409,9 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
         for earlier in mids[1:]:
             row = ranked.get(earlier)
             if row is None:
-                row = ranked[earlier] = bytearray(len(all_matchings))
+                row = ranked[earlier] = bytearray(len(pool))
             if not row[mid]:
-                row[mid] = 1 + rank[_cycle_partition(all_matchings[earlier], all_matchings[mid])]
+                row[mid] = 1 + rank[_cycle_partition(pool[earlier], pool[mid])]
             if row[mid] <= shard_index:
                 return False
         return True
@@ -432,7 +427,7 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     allowance = (0 if (crys or "manifold" in filters) and k >= 5
                  else 1 if crys and k == 4 else None)
 
-    # per (earlier mid, mid) of a triple, one byte per third mid: 0 not yet
+    # per (earlier id, id) of a triple, one byte per third id: 0 not yet
     # tested, 1 clean, 2 unclean
     clean: dict[tuple[int, int], bytearray] = {}
 
@@ -443,7 +438,7 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
         for a, b in itertools.combinations(mids[:-1], 2):
             row = clean.get((a, b))
             if row is None:
-                row = clean[(a, b)] = bytearray(len(all_matchings))
+                row = clean[(a, b)] = bytearray(len(pool))
             if not row[mc]:
                 row[mc] = 1 if _triple_clean(p, cycles[ranked[a][b] - 1],
                                              cycles[ranked[a][mc] - 1],
@@ -481,12 +476,12 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
 
     codes: set[str] = set()
     seen: set[str] = set()
-    mids: list[int] = [0, 1]  # indices into all_matchings of the colors chosen so far
+    mids: list[int] = [pi0_id, 0]  # the ids of the colors chosen so far
 
     def survivor():
         if not least_pair_key():
             return
-        rows = tuple(all_matchings[m] for m in mids)
+        rows = tuple(matchings[m] for m in mids)
         if want_bipartite and core.two_coloring(rows) is None:
             return
         g = core.ColoredGraph(rows)
@@ -506,17 +501,12 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
     # test at every depth, and each H-class keeps a leaf.  H preserves
     # ranks and connectivity, so nothing else changes.
     images = _generator_images(pool, _stabilizer_generators(pi0, pi1))
+    # per pool matching, the mask of the generators that map it onto itself
+    fixed_by = [sum(1 << j for j, row in enumerate(images) if row[mid] == mid)
+                for mid in range(len(pool))]
     full = (1 << len(images)) - 1
     minima = {full: _least_in_orbits(len(pool), images)}  # the pool's orbit minima, by mask
     least_in_h = minima[full]
-    fixers: list[int | None] = [None] * len(pool)  # per matching, the mask fixing it
-
-    def fixed_by(idx: int) -> int:
-        """The mask of the generators that map ``pool[idx]`` onto itself."""
-        mask = fixers[idx]
-        if mask is None:
-            mask = fixers[idx] = sum(1 << j for j, row in enumerate(images) if row[idx] == idx)
-        return mask
 
     def least_under(mask: int) -> list[int]:
         """The pool's orbit minima under the generators in ``mask``."""
@@ -531,11 +521,10 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
         if last and crys and counts[whole] != 1:
             return
         least = least_under(fixmask)
-        for idx in range(start, len(pool)):
-            mid = idx + 1
+        for mid in range(start, len(pool)):
             # least under the stabilizer of the chosen colors, and no color's
             # H-orbit reaches below color 2
-            if (least[idx] < idx or (depth > 2 and least_in_h[idx] < mids[2] - 1)
+            if (least[mid] < mid or (depth > 2 and least_in_h[mid] < mids[2])
                     or not ranks_in_shard(mid)):
                 continue
             mids.append(mid)
@@ -543,14 +532,14 @@ def run_shard(n_colors: int, p: int, shard_index: int, filters: tuple[str, ...])
             if now is not None:
                 if not last:
                     dfs(depth + 1, tuple(merge(s, mid) for s in hats) + (whole,),
-                        merge(whole, mid), idx, now, fixmask & fixed_by(idx))
+                        merge(whole, mid), mid, now, fixmask & fixed_by[mid])
                 # a leaf is connected, and in crystallization runs so is each
                 # of its hat-residues
                 elif all(counts[merge(s, mid)] == 1 for s in (hats if crys else (whole,))):
                     survivor()
             mids.pop()
 
-    dfs(2, (merge(0, 1), merge(0, 0)), merge(merge(0, 0), 1), 0, 0, full)
+    dfs(2, (merge(0, 0), merge(0, pi0_id)), merge(merge(0, pi0_id), 0), 0, 0, full)
     return sorted(codes)
 
 

@@ -726,7 +726,7 @@ def _needs_certification(g: ColoredGraph) -> bool:
     from . import recognition
 
     mc = recognition.check_closed_manifold(g)
-    return mc.conditional or mc.verdict != f"closed-{g.n_colors - 1}-manifold"
+    return mc.conditional or not mc.closed
 
 
 def reduce(g: ColoredGraph) -> ColoredGraph:

@@ -304,7 +304,7 @@ def tietze_trivializes(pres: Presentation) -> bool:
                 if target is None or len(w) < len(relators[target[0]]):
                     target = (ridx, x)
         if target is None:
-            return gens == 0
+            return False
         ridx, x = target
         w = relators.pop(ridx)
         pos = next(idx for idx, t in enumerate(w) if abs(t) == x)
@@ -416,13 +416,16 @@ class Pi1Certificate:
 
 @core.memo
 def pi1_certificate(g: core.ColoredGraph) -> Pi1Certificate:
-    free_rank, torsion = h1_from_presentation(presentation_raw(g, *color_pair(g)))
+    compact = color_pair(g)
+    pres = presentation_raw(g, *compact)
+    free_rank, torsion = h1_from_presentation(pres)
     m = free_rank + len(torsion)
     if m > 0:
         return Pi1Certificate("nontrivial", m)
     sing = recognition.singular_colors(g)
     for pair in itertools.combinations(range(g.n_colors), 2):
-        if not set(pair) & set(sing) and tietze_trivializes(presentation_raw(g, *pair)):
+        if not set(pair) & set(sing) and tietze_trivializes(
+                pres if pair == compact else presentation_raw(g, *pair)):
             return Pi1Certificate("trivial", 0)
     return Pi1Certificate("unknown", m)
 

@@ -62,6 +62,11 @@ class ManifoldClass:
     def is_manifold(self) -> bool:
         return self.verdict != NOT_A_MANIFOLD
 
+    @property
+    def closed(self) -> bool:
+        """Whether the verdict is a closed manifold of its dimension."""
+        return self.verdict == f"closed-{self.dimension}-manifold"
+
     def to_json(self) -> dict:
         out = {
             "verdict": self.verdict,
@@ -228,7 +233,7 @@ def _hat_certificates(g: core.ColoredGraph, key) -> tuple[SphereCertificate, ...
         h = core.residue_graph(g.matchings, key, [v for v, lab in enumerate(labels) if lab == i])
         if len(key) > 4 or len(key) == g.n_colors:
             mc = check_closed_manifold(h)
-            if mc.verdict != f"closed-{len(key) - 1}-manifold":
+            if not mc.closed:
                 return None
             if mc.conditional:  # closed-manifold-hood rests on unknowns
                 certs.append(SphereCertificate(UNKNOWN, None))

@@ -11,7 +11,8 @@ always joins the three matchings.
 
 `layout_keys` builds the shard keys in closed form, one least layout of
 the cycles per partition; the library reads each key off its shard's pool,
-and the oracles take theirs from here.
+and the oracles take theirs from here.  `orbit_minima` reads each pool
+matching's orbit minimum off the library's table of generator images.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def layout_keys(p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(reps)
 
 
+def orbit_minima(pool: list[tuple[int, ...]], gens) -> list[int]:
+    """For each matching of the sorted ``pool``, which the group generated
+    by ``gens`` maps onto itself, the index of the least member of its orbit."""
+    return catalogue._least_in_orbits(len(pool), catalogue._generator_images(pool, gens))
+
+
 def cycle_partition_by_lists(a, b) -> tuple[int, ...]:
     """The number of ``a``-pairs on each bicolored cycle, ascending, read
     off the cycle lists."""
@@ -63,7 +70,7 @@ def run_shard_parent(n_colors: int, p: int, shard_index: int, filters: tuple[str
     cycles = [len(part) for part in rank]
     with_pi0 = {m: rank[cycle_partition_by_lists(pi0, m)] for m in catalogue.fpf_involutions(p)}
     pool = [m for m, r in with_pi0.items() if r >= shard_index]
-    least = catalogue._orbit_minima(pool, catalogue._stabilizer_generators(pi0, pi1))
+    least = orbit_minima(pool, catalogue._stabilizer_generators(pi0, pi1))
     crys = any(catalogue.FILTERS[f].crystallization for f in filters)
     want_bipartite = "bipartite" in filters
 

@@ -329,6 +329,26 @@ def test_pi1_certificate_reads_no_singular_pair(monkeypatch):
     assert pairs and all(4 not in pair for pair in pairs), pairs
 
 
+@pytest.mark.parametrize("make", [fixtures.cp2, fixtures.rp3_boundary])
+def test_pi1_certificate_builds_each_presentation_once(monkeypatch, make):
+    # the compact pair's presentation gives H1 and is the first one Tietze
+    # simplifies: it is built once
+    g = make()
+    pairs = []
+    raw = invariants.presentation_raw
+
+    def spy(h, i, j):
+        if h == g:  # hat-residues' presentations come from sphere certification
+            pairs.append((i, j))
+        return raw(h, i, j)
+
+    monkeypatch.setattr(invariants, "presentation_raw", spy)
+    for memo in core.MEMOS:
+        memo.cache_clear()
+    assert invariants.pi1_certificate(g).status == "trivial"
+    assert pairs and len(pairs) == len(set(pairs)), pairs
+
+
 def test_boundary_sum_of_simply_connected_stays_simply_connected():
     # the boundary H1 (Z/2 + Z/2 after the sum) dies in the 4-manifold
     bdy = fixtures.rp3_boundary()

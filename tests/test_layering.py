@@ -2,11 +2,11 @@
 
 A rule written once belongs to one module; when a second module needs it,
 the owner makes it public.  Using another module's underscore name is how
-private copies of a rule start to be shared, so it fails here.  The
-runtime itself stays stdlib-only: its absolute imports name standard
-library modules and nothing else, and the process pool is imported only
-by a run that uses it.  Memoisation has one owner too: ``core.memo``, with
-one bound.
+private copies of a rule start to be shared, so it fails here, and so does
+an underscore name that nothing in the library uses.  The runtime itself
+stays stdlib-only: its absolute imports name standard library modules and
+nothing else, and the process pool is imported only by a run that uses
+it.  Memoisation has one owner too: ``core.memo``, with one bound.
 """
 
 from __future__ import annotations
@@ -34,6 +34,27 @@ def test_no_module_uses_another_modules_private_names():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             for m in PRIVATE_USE.finditer(line)]
     assert hits == []
+
+
+def test_every_private_name_is_used_by_the_library():
+    # a private helper that only the tests call belongs in tests/, beside them
+    statements = [(path.stem, node) for path in sorted(SRC.glob("*.py"))
+                  for node in ast.parse(path.read_text(), filename=str(path)).body]
+    refs = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+             if isinstance(n, (ast.Name, ast.Attribute))} for _, node in statements]
+    unused = []
+    for (module, node), own in zip(statements, refs):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        unused += [f"{module}.{name}" for name in defined
+                   if name.startswith("_") and not name.startswith("__")
+                   and not any(name in other for other in refs if other is not own)]
+    assert unused == []
 
 
 def test_runtime_imports_only_the_standard_library():

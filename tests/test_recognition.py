@@ -62,30 +62,31 @@ def test_surface_sphere_certificate_matches_the_surface_classification():
 
 def test_check_closed_manifold_sigma5():
     mc = recognition.check_closed_manifold(fixtures.sigma(5))
-    assert mc.verdict == "closed-4-manifold"
+    assert mc.verdict == "closed-4-manifold" and mc.closed
     assert mc.singular_colors == () and not mc.conditional
 
 
 def test_singular_manifold_detection():
     mc = recognition.check_closed_manifold(fixtures.rp3_boundary())
-    assert mc.verdict == "singular-4-manifold"
+    assert mc.verdict == "singular-4-manifold" and not mc.closed
     assert mc.singular_colors == (4,)
     assert not mc.conditional
 
 
 def test_not_a_manifold_complex():
     mc = recognition.check_closed_manifold(fixtures.torus_times_colors())
-    assert mc.verdict == "not-a-manifold-complex"
+    assert mc.verdict == "not-a-manifold-complex" and not mc.closed
 
 
 def test_surface_and_3_manifold_verdicts():
-    assert recognition.check_closed_manifold(fixtures.torus()).verdict == "surface"
-    assert recognition.check_closed_manifold(fixtures.rp3()).verdict == \
-        "closed-3-manifold"
+    surface = recognition.check_closed_manifold(fixtures.torus())
+    assert surface.verdict == "surface" and not surface.closed
+    rp3 = recognition.check_closed_manifold(fixtures.rp3())
+    assert rp3.verdict == "closed-3-manifold" and rp3.closed
     # 4-colored gem with a non-sphere residue: pad the torus with one color
     g = core.ColoredGraph(fixtures.torus().matchings + ((1, 0, 3, 2, 5, 4),))
     mc = recognition.check_closed_manifold(g)
-    assert mc.verdict == "singular-3-residue"
+    assert mc.verdict == "singular-3-residue" and not mc.closed
     assert mc.singular_colors != ()
 
 

@@ -29,7 +29,7 @@ import pytest
 
 from gemkit import catalogue, core
 
-from shard_parent import cycle_partition_by_lists, layout_keys, run_shard_parent
+from shard_parent import cycle_partition_by_lists, layout_keys, orbit_minima, run_shard_parent
 
 
 def run_shard_oracle(k: int, p: int, shard_index: int, filters: tuple[str, ...]) -> list[str]:
@@ -212,7 +212,7 @@ def test_generator_orbits_are_the_brute_force_stabilizer_orbits(p):
                 for j in orbit:
                     least[j] = min(orbit)
         gens = catalogue._stabilizer_generators(pi0, pi1)
-        assert catalogue._orbit_minima(pool, gens) == least, pi1
+        assert orbit_minima(pool, gens) == least, pi1
 
 
 @pytest.mark.parametrize("k, max_order, filters", [
